@@ -7,10 +7,10 @@
 //	lolohad -spec spec.json -mode root -tcp :9090
 //	lolohad -spec spec.json -mode leaf -parent root:9090 -round 10s
 //
-// HTTP serves the v1 API (enrollment, batched report ingestion, round
+// HTTP serves the v1 API (enrollment, LCB1 columnar report batches, round
 // control, status, a live SSE round stream) and an embedded dashboard at
-// /. The optional raw-TCP listener ingests length-prefixed report frames
-// on the zero-allocation decode→tally path — the transport for load
+// /. The optional raw-TCP listener ingests length-prefixed frames carrying
+// the same batches on the zero-allocation decode→tally path — the transport for load
 // generators and high-volume collectors (`lolohasim loadgen` drives
 // either). Rounds close on the -round period when reports are pending, or
 // on demand via POST /v1/round/close.
@@ -66,7 +66,7 @@ func run(args []string) error {
 	fs.IntVar(&o.shards, "shards", 0, "ingestion shards (0 = the stream's default)")
 	fs.DurationVar(&o.round, "round", 0, "close the round on this period when reports are pending (0 = manual via the API)")
 	fs.IntVar(&o.roundCap, "roundcap", 0, "retained round history and subscriber buffer depth (0 = the stream's default)")
-	fs.IntVar(&o.maxFrame, "maxframe", 0, "max TCP frame body / batch record payload in bytes (0 = 1 MiB)")
+	fs.IntVar(&o.maxFrame, "maxframe", 0, "max TCP frame body in bytes (0 = 1 MiB)")
 	fs.IntVar(&o.maxBatch, "maxbatch", 0, "max HTTP /v1/reports body in bytes (0 = 8 MiB)")
 	fs.DurationVar(&o.roundDeadline, "round-deadline", 0, "root: close the round this long after its first merge envelope even if leaves are missing (0 = wait forever)")
 	fs.IntVar(&o.quorum, "quorum", 0, "root: minimum distinct leaves before -round-deadline may close the round (0 = 1)")

@@ -110,14 +110,32 @@ func enrollTCP(t *testing.T, conn net.Conn, clients []longitudinal.AppendReporte
 	}
 }
 
+// appendReportFrame appends one columnar frame carrying the reports of
+// users lo, lo+step, ... below hi for the testSpec protocol.
+func appendReportFrame(t *testing.T, frames []byte, payloads [][]byte, lo, hi, step int) []byte {
+	t.Helper()
+	proto, err := buildProtocol(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := lo; u < hi; u += step {
+		if err := w.Add(u, payloads[u]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return netserver.AppendColumnarFrame(frames, w.AppendTo(nil))
+}
+
 // reportTCP ships payloads[lo:hi] over the connection and syncs with a
 // flush.
 func reportTCP(t *testing.T, conn net.Conn, payloads [][]byte, lo, hi int) {
 	t.Helper()
-	var frames []byte
-	for u := lo; u < hi; u++ {
-		frames = netserver.AppendReportFrame(frames, u, payloads[u])
-	}
+	frames := appendReportFrame(t, nil, payloads, lo, hi, 1)
 	if _, err := conn.Write(netserver.AppendFlushFrame(frames)); err != nil {
 		t.Fatal(err)
 	}
@@ -374,10 +392,7 @@ func TestLifecycleCollectorTree(t *testing.T) {
 	payloads := roundPayloads(clients, 0, proto.K())
 	ingestRef(t, ref, payloads, 0, n)
 	for i, conn := range conns {
-		var frames []byte
-		for u := i; u < n; u += 2 {
-			frames = netserver.AppendReportFrame(frames, u, payloads[u])
-		}
+		frames := appendReportFrame(t, nil, payloads, i, n, 2)
 		if _, err := conn.Write(netserver.AppendFlushFrame(frames)); err != nil {
 			t.Fatal(err)
 		}

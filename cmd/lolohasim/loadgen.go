@@ -2,14 +2,13 @@ package main
 
 // loadgen drives a running lolohad daemon with synthetic users: it reads
 // the daemon's protocol spec from /v1/status, builds the same protocol
-// locally, enrolls -users clients and pushes -rounds rounds of reports
-// over HTTP batch bodies, raw TCP frames, or (-columnar) columnar batches
-// on either transport.
+// locally, enrolls -users clients and pushes -rounds rounds of reports as
+// LCB1 columnar batches of -batch reports, over HTTP bodies or (-tcp) raw
+// TCP frames.
 //
 //	lolohad -spec '{"family":"LOLOHA","k":100,"g":2,"eps_inf":2,"eps1":1}' -tcp :9090 &
 //	lolohasim loadgen -addr http://127.0.0.1:8080 -users 10000
 //	lolohasim loadgen -addr http://127.0.0.1:8080 -tcp 127.0.0.1:9090
-//	lolohasim loadgen -addr http://127.0.0.1:8080 -tcp 127.0.0.1:9090 -columnar
 
 import (
 	"bytes"
@@ -38,7 +37,6 @@ type loadgenOptions struct {
 	workers   int
 	seed      uint64
 	closeEach bool
-	columnar  bool
 }
 
 // applyPartition narrows the run to slice i of K ("-partition i/K"): the
@@ -70,13 +68,12 @@ func loadgenCmd(args []string) error {
 	var o loadgenOptions
 	var seed64 int64
 	fs.StringVar(&o.addr, "addr", "http://127.0.0.1:8080", "daemon HTTP base URL (spec discovery, enrollment, round control)")
-	fs.StringVar(&o.tcpAddr, "tcp", "", "daemon raw-frame TCP address; when set, enrollment and reports go over TCP frames instead of HTTP")
+	fs.StringVar(&o.tcpAddr, "tcp", "", "daemon raw-frame TCP address; when set, enrollment and report batches go over TCP frames instead of HTTP")
 	fs.IntVar(&o.users, "users", 10_000, "synthetic users to enroll")
 	fs.IntVar(&o.firstID, "firstid", 0, "first user ID (separate runs against one daemon need disjoint ID ranges)")
 	fs.StringVar(&o.partition, "partition", "", "drive only slice i/K of the user range (collector-tree leaves: one loadgen per leaf, same -users and -seed)")
 	fs.IntVar(&o.rounds, "rounds", 5, "collection rounds to push")
-	fs.IntVar(&o.batch, "batch", 1024, "reports per batch body (HTTP and columnar)")
-	fs.BoolVar(&o.columnar, "columnar", false, "push reports as columnar batches (columnar TCP frames / "+netserver.ContentTypeColumnar+" bodies)")
+	fs.IntVar(&o.batch, "batch", 1024, "reports per columnar batch (HTTP body or TCP frame)")
 	fs.IntVar(&o.workers, "workers", 0, "concurrent connections (0 = GOMAXPROCS)")
 	fs.Int64Var(&seed64, "seed", 42, "client randomness seed")
 	fs.BoolVar(&o.closeEach, "close", true, "close the daemon's round after each pushed round")
@@ -149,15 +146,8 @@ func loadgen(o loadgenOptions) error {
 				}
 				clients[i] = cl
 			}
-			var push pusher
-			if o.columnar {
-				push, res.err = newColumnarPusher(o, proto)
-			} else if o.tcpAddr != "" {
-				push, res.err = newTCPPusher(o.tcpAddr)
-			} else {
-				push, res.err = newHTTPPusher(o.addr, o.batch)
-			}
-			if res.err != nil {
+			push, err := newPusher(o, proto)
+			if res.err = err; res.err != nil {
 				return
 			}
 			defer push.close()
@@ -243,14 +233,10 @@ func stopWorkers(rounds []chan int) {
 }
 
 func transportName(o loadgenOptions) string {
-	name := o.addr
 	if o.tcpAddr != "" {
-		name = "tcp://" + o.tcpAddr
+		return "tcp://" + o.tcpAddr
 	}
-	if o.columnar {
-		name += " (columnar)"
-	}
-	return name
+	return o.addr
 }
 
 // discoverProtocol builds the daemon's protocol locally from the spec it
@@ -327,8 +313,8 @@ func closeRound(addr string) (int, error) {
 }
 
 // pusher is one worker's transport: enroll its users once, then stream
-// reports with batching left to the implementation. flush pushes out any
-// buffered reports and returns what the daemon acknowledged.
+// reports, which it packs into columnar batches of -batch reports. flush
+// ships any partial batch and returns what the daemon acknowledged.
 type pusher interface {
 	enroll(firstID int, clients []longitudinal.AppendReporter) error
 	report(userID int, payload []byte) error
@@ -336,21 +322,38 @@ type pusher interface {
 	close()
 }
 
+// newPusher returns the transport selected by -tcp, with a columnar
+// report encoder for the daemon's protocol.
+func newPusher(o loadgenOptions, proto longitudinal.Protocol) (pusher, error) {
+	stride, ok := longitudinal.ColumnarStrideOf(proto)
+	if !ok {
+		return nil, fmt.Errorf("%s has no wire tallier", proto.Name())
+	}
+	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	if err != nil {
+		return nil, err
+	}
+	if o.tcpAddr != "" {
+		conn, err := net.Dial("tcp", o.tcpAddr)
+		if err != nil {
+			return nil, err
+		}
+		return &tcpPusher{conn: conn, w: w, batch: o.batch}, nil
+	}
+	return &httpPusher{base: o.addr, client: http.DefaultClient, w: w, batch: o.batch}, nil
+}
+
 // ---------------------------------------------------------------------------
-// HTTP transport: JSON enrollment, binary batch bodies.
+// HTTP transport: JSON enrollment, columnar /v1/reports bodies.
 
 type httpPusher struct {
 	base     string
 	client   *http.Client
-	body     []byte
+	w        *longitudinal.ColumnarWriter
 	batch    int
-	buffered int
+	enc      []byte
 	sent     uint64
 	rejected uint64
-}
-
-func newHTTPPusher(base string, batch int) (pusher, error) {
-	return &httpPusher{base: base, client: http.DefaultClient, batch: batch}, nil
 }
 
 func (p *httpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) error {
@@ -381,30 +384,24 @@ func (p *httpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) 
 }
 
 func (p *httpPusher) report(userID int, payload []byte) error {
-	p.body = netserver.AppendBatchRecord(p.body, userID, payload)
-	p.buffered++
-	if p.buffered >= p.batch {
+	if err := p.w.Add(userID, payload); err != nil {
+		return err
+	}
+	if p.w.Count() >= p.batch {
 		return p.post()
 	}
 	return nil
 }
 
+// post ships the pending batch as one /v1/reports body and folds the
+// daemon's accounting into the pusher's counters.
 func (p *httpPusher) post() error {
-	if p.buffered == 0 {
+	if p.w.Count() == 0 {
 		return nil
 	}
-	if err := p.postReports("application/octet-stream", p.body); err != nil {
-		return err
-	}
-	p.body = p.body[:0]
-	p.buffered = 0
-	return nil
-}
-
-// postReports POSTs one /v1/reports body of the given content type and
-// folds the daemon's accounting into the pusher's counters.
-func (p *httpPusher) postReports(contentType string, body []byte) error {
-	resp, err := p.client.Post(p.base+"/v1/reports", contentType, bytes.NewReader(body))
+	p.enc = p.w.AppendTo(p.enc[:0])
+	p.w.Reset()
+	resp, err := p.client.Post(p.base+"/v1/reports", netserver.ContentTypeColumnar, bytes.NewReader(p.enc))
 	if err != nil {
 		return err
 	}
@@ -434,21 +431,15 @@ func (p *httpPusher) flush() (uint64, uint64, error) {
 func (p *httpPusher) close() {}
 
 // ---------------------------------------------------------------------------
-// TCP transport: enroll and report frames, flush as the sync point.
+// TCP transport: enroll frames, columnar frames, flush as the sync point.
 
 type tcpPusher struct {
-	conn     net.Conn
-	buf      []byte
-	acked    netserver.Ack // counters are connection-lifetime; diff per flush
-	enrolled int
-}
-
-func newTCPPusher(addr string) (pusher, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &tcpPusher{conn: conn}, nil
+	conn  net.Conn
+	w     *longitudinal.ColumnarWriter
+	batch int
+	enc   []byte
+	buf   []byte
+	acked netserver.Ack // counters are connection-lifetime; diff per flush
 }
 
 func (p *tcpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) error {
@@ -471,110 +462,10 @@ func (p *tcpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) e
 	}
 	p.buf = p.buf[:0]
 	p.acked = ack
-	p.enrolled = len(clients)
 	return nil
 }
 
 func (p *tcpPusher) report(userID int, payload []byte) error {
-	p.buf = netserver.AppendReportFrame(p.buf, userID, payload)
-	// One TCP write per ~64 KiB keeps syscall overhead off the clock
-	// without a second buffering layer.
-	if len(p.buf) >= 64<<10 {
-		if _, err := p.conn.Write(p.buf); err != nil {
-			return err
-		}
-		p.buf = p.buf[:0]
-	}
-	return nil
-}
-
-func (p *tcpPusher) flush() (uint64, uint64, error) {
-	if _, err := p.conn.Write(netserver.AppendFlushFrame(p.buf)); err != nil {
-		return 0, 0, err
-	}
-	p.buf = p.buf[:0]
-	ack, err := netserver.ReadAck(p.conn)
-	if err != nil {
-		return 0, 0, err
-	}
-	sent := ack.Reports - p.acked.Reports
-	rejected := ack.ReportRejected - p.acked.ReportRejected
-	p.acked = ack
-	return sent, rejected, nil
-}
-
-func (p *tcpPusher) close() { p.conn.Close() }
-
-// ---------------------------------------------------------------------------
-// Columnar transport: enrollment rides the per-report paths (JSON or
-// enroll frames), reports ship as columnar batches — the daemon's
-// decode-free fast path.
-
-// newColumnarPusher wraps the transport selected by -tcp with a columnar
-// report encoder sized to -batch.
-func newColumnarPusher(o loadgenOptions, proto longitudinal.Protocol) (pusher, error) {
-	stride, ok := longitudinal.ColumnarStrideOf(proto)
-	if !ok {
-		return nil, fmt.Errorf("%s has no columnar tallier; drop -columnar", proto.Name())
-	}
-	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
-	if err != nil {
-		return nil, err
-	}
-	if o.tcpAddr != "" {
-		inner, err := newTCPPusher(o.tcpAddr)
-		if err != nil {
-			return nil, err
-		}
-		return &tcpColumnarPusher{tcpPusher: inner.(*tcpPusher), w: w, batch: o.batch}, nil
-	}
-	inner, err := newHTTPPusher(o.addr, o.batch)
-	if err != nil {
-		return nil, err
-	}
-	return &httpColumnarPusher{httpPusher: inner.(*httpPusher), w: w}, nil
-}
-
-type httpColumnarPusher struct {
-	*httpPusher // JSON enrollment and /v1/reports accounting
-	w           *longitudinal.ColumnarWriter
-	enc         []byte
-}
-
-func (p *httpColumnarPusher) report(userID int, payload []byte) error {
-	if err := p.w.Add(userID, payload); err != nil {
-		return err
-	}
-	if p.w.Count() >= p.batch {
-		return p.post()
-	}
-	return nil
-}
-
-func (p *httpColumnarPusher) post() error {
-	if p.w.Count() == 0 {
-		return nil
-	}
-	p.enc = p.w.AppendTo(p.enc[:0])
-	p.w.Reset()
-	return p.postReports(netserver.ContentTypeColumnar, p.enc)
-}
-
-func (p *httpColumnarPusher) flush() (uint64, uint64, error) {
-	err := p.post()
-	sent, rejected := p.sent, p.rejected
-	p.sent, p.rejected = 0, 0
-	return sent, rejected, err
-}
-
-type tcpColumnarPusher struct {
-	*tcpPusher // enroll frames, flush barrier, ack accounting
-	w          *longitudinal.ColumnarWriter
-	batch      int
-	enc        []byte
-}
-
-func (p *tcpColumnarPusher) report(userID int, payload []byte) error {
 	if err := p.w.Add(userID, payload); err != nil {
 		return err
 	}
@@ -584,7 +475,9 @@ func (p *tcpColumnarPusher) report(userID int, payload []byte) error {
 	return p.emit()
 }
 
-func (p *tcpColumnarPusher) emit() error {
+// emit frames the pending batch. One TCP write per ~64 KiB keeps syscall
+// overhead off the clock without a second buffering layer.
+func (p *tcpPusher) emit() error {
 	if p.w.Count() == 0 {
 		return nil
 	}
@@ -600,9 +493,22 @@ func (p *tcpColumnarPusher) emit() error {
 	return nil
 }
 
-func (p *tcpColumnarPusher) flush() (uint64, uint64, error) {
+func (p *tcpPusher) flush() (uint64, uint64, error) {
 	if err := p.emit(); err != nil {
 		return 0, 0, err
 	}
-	return p.tcpPusher.flush()
+	if _, err := p.conn.Write(netserver.AppendFlushFrame(p.buf)); err != nil {
+		return 0, 0, err
+	}
+	p.buf = p.buf[:0]
+	ack, err := netserver.ReadAck(p.conn)
+	if err != nil {
+		return 0, 0, err
+	}
+	sent := ack.Reports - p.acked.Reports
+	rejected := ack.ReportRejected - p.acked.ReportRejected
+	p.acked = ack
+	return sent, rejected, nil
 }
+
+func (p *tcpPusher) close() { p.conn.Close() }

@@ -274,11 +274,7 @@ func specsCmd(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		doc := info.Doc
-		if info.Build == nil {
-			doc = strings.TrimSpace(doc + " (decoder-only: not spec-constructible)")
-		}
-		tbl.AddRow(name, fields(info.Required), fields(info.Optional), doc)
+		tbl.AddRow(name, fields(info.Required), fields(info.Optional), info.Doc)
 	}
 	if err := tbl.Render(w); err != nil {
 		return err

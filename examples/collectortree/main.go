@@ -152,19 +152,31 @@ func run() error {
 		}
 	}
 
+	// Each leaf's reports travel as one columnar batch frame per round.
+	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	batches := make([]*longitudinal.ColumnarWriter, len(leaves))
+	for i := range batches {
+		if batches[i], err = longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride); err != nil {
+			return err
+		}
+	}
 	for round := 0; round < rounds; round++ {
 		// One payload per user per round, fed to both the reference stream
 		// and the user's leaf: report chains are stateful, so parity means
 		// the same bytes on both paths, not two independent draws.
+		var payload []byte
 		for u, cl := range clients {
-			payload := cl.AppendReport(nil, (u*5+round)%k)
+			payload = cl.AppendReport(payload[:0], (u*5+round)%k)
 			if err := ref.Ingest(u, payload); err != nil {
 				return err
 			}
-			leaf := leafOf(u)
-			frames[leaf] = netserver.AppendReportFrame(frames[leaf], u, payload)
+			if err := batches[leafOf(u)].Add(u, payload); err != nil {
+				return err
+			}
 		}
 		for i := range leaves {
+			frames[i] = netserver.AppendColumnarFrame(frames[i], batches[i].AppendTo(nil))
+			batches[i].Reset()
 			if err := flush(conns[i], &frames[i]); err != nil {
 				return err
 			}

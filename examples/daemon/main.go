@@ -3,8 +3,9 @@
 // and a live round stream for whoever is watching.
 //
 // Everything here talks to the daemon the way real deployments would:
-// clients enroll and report over the wire (HTTP batch bodies and raw TCP
-// frames — both land on the same stream), rounds close through the API,
+// clients enroll over the wire and report LCB1 columnar batches (as HTTP
+// bodies and as raw TCP frames — both land on the same stream), rounds
+// close through the API,
 // and an SSE subscriber tails the round feed like the dashboard does. The
 // only in-process access is constructing the engine itself; point the
 // same client code at a running `lolohad` binary and nothing changes.
@@ -111,29 +112,45 @@ func run() error {
 	fmt.Printf("enrolled: %d over HTTP JSON, %d over TCP frames (%d rejected)\n",
 		users/2, ack.Enrolled, ack.EnrollRejected)
 
+	// Reports travel as columnar batches stamped with the protocol's spec
+	// hash and payload stride: one per transport per round.
+	stride, _ := loloha.ColumnarStrideOf(proto)
+	httpBatch, err := loloha.NewColumnarWriter(loloha.SpecHashOf(proto), stride)
+	if err != nil {
+		return err
+	}
+	tcpBatch, err := loloha.NewColumnarWriter(loloha.SpecHashOf(proto), stride)
+	if err != nil {
+		return err
+	}
 	for round := 0; round < rounds; round++ {
 		popular := 7
 		if round >= rounds/2 {
 			popular = 21
 		}
-		var body, frames []byte
+		httpBatch.Reset()
+		tcpBatch.Reset()
+		var payload []byte
 		for u, cl := range clients {
 			v := u % k
 			if u%3 != 0 {
 				v = popular
 			}
-			payload := cl.AppendReport(nil, v)
+			payload = cl.AppendReport(payload[:0], v)
+			batch := tcpBatch
 			if u < users/2 {
-				body = netserver.AppendBatchRecord(body, u, payload)
-			} else {
-				frames = netserver.AppendReportFrame(frames, u, payload)
+				batch = httpBatch
+			}
+			if err := batch.Add(u, payload); err != nil {
+				return err
 			}
 		}
-		resp, err := http.Post(ts.URL+"/v1/reports", "application/octet-stream", bytesReader(body))
+		resp, err := http.Post(ts.URL+"/v1/reports", netserver.ContentTypeColumnar, bytesReader(httpBatch.AppendTo(nil)))
 		if err != nil {
 			return err
 		}
 		resp.Body.Close()
+		frames := netserver.AppendColumnarFrame(nil, tcpBatch.AppendTo(nil))
 		if _, err := conn.Write(netserver.AppendFlushFrame(frames)); err != nil {
 			return err
 		}

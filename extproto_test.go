@@ -1,10 +1,8 @@
-// An out-of-package protocol plugged into Stream: the decoder resolution
-// is open (WireProtocol interface + RegisterDecoder registry), so a
-// protocol defined entirely outside the library — here a noise-free
-// histogram protocol in this external test package — round-trips through
-// the wire service end to end. Before the redesign this was impossible:
-// internal/server enumerated the repository's protocol types in a closed
-// type-switch.
+// An out-of-package protocol plugged into Stream: ingestion is open (the
+// TallyProtocol interface), so a protocol defined entirely outside the
+// library — here a noise-free histogram protocol in this external test
+// package — round-trips through the wire service end to end, with no
+// registration step and no protocol type enumerated in internal/server.
 package loloha_test
 
 import (
@@ -18,8 +16,8 @@ import (
 
 // histBase is a trivial "protocol": clients report their value verbatim
 // (no privacy — it exists to exercise the wire plumbing, not the
-// estimators). It deliberately does NOT implement loloha.WireProtocol, so
-// decoder resolution for it must go through the registry.
+// estimators). It deliberately does NOT implement loloha.TallyProtocol, so
+// a Stream must refuse it.
 type histBase struct {
 	k    int
 	name string
@@ -34,23 +32,16 @@ func (p *histBase) NewAggregator() loloha.Aggregator {
 	return &histAgg{k: p.k, counts: make([]int64, p.k)}
 }
 
-// histProto adds WireDecoder, making the protocol self-describing.
+// histProto adds WireTallier, making the protocol ingestible.
 type histProto struct{ histBase }
 
-// WireDecoder implements loloha.WireProtocol.
-func (p *histProto) WireDecoder() loloha.Decoder { return histDecoder{k: p.k} }
-
-func newExternalProtocol(k int, selfDecoding bool) loloha.Protocol {
-	if selfDecoding {
-		return &histProto{histBase{k: k, name: "ext-hist"}}
-	}
-	return &histBase{k: k, name: "ext-hist-registered"}
-}
+// WireTallier implements loloha.TallyProtocol.
+func (p *histProto) WireTallier() loloha.WireTallier { return histTallier{k: p.k} }
 
 // Statically assert which variant satisfies the interface.
 var (
-	_ loloha.WireProtocol = (*histProto)(nil)
-	_ loloha.Protocol     = (*histBase)(nil)
+	_ loloha.TallyProtocol = (*histProto)(nil)
+	_ loloha.Protocol      = (*histBase)(nil)
 )
 
 type histClient struct{ k int }
@@ -63,17 +54,26 @@ type histReport struct{ v int }
 
 func (r histReport) AppendBinary(dst []byte) []byte { return append(dst, byte(r.v)) }
 
-type histDecoder struct{ k int }
+type histTallier struct{ k int }
 
-func (d histDecoder) Decode(payload []byte, _ loloha.Registration) (loloha.Report, error) {
+func (histTallier) PayloadStride() int                          { return 1 }
+func (histTallier) CheckRegistration(loloha.Registration) error { return nil }
+
+func (t histTallier) TallyWire(agg loloha.Aggregator, _ int, payload []byte, _ loloha.Registration) error {
+	a, ok := agg.(*histAgg)
+	if !ok {
+		return fmt.Errorf("ext-hist: cannot tally into %T", agg)
+	}
 	if len(payload) != 1 {
-		return nil, fmt.Errorf("ext-hist: payload is %d bytes, want 1", len(payload))
+		return fmt.Errorf("ext-hist: payload is %d bytes, want 1", len(payload))
 	}
 	v := int(payload[0])
-	if v >= d.k {
-		return nil, fmt.Errorf("ext-hist: value %d outside [0,%d)", v, d.k)
+	if v >= t.k {
+		return fmt.Errorf("ext-hist: value %d outside [0,%d)", v, t.k)
 	}
-	return histReport{v: v}, nil
+	a.counts[v]++
+	a.n++
+	return nil
 }
 
 type histAgg struct {
@@ -99,10 +99,10 @@ func (a *histAgg) EndRound() []float64 {
 // (histAgg is deliberately NOT mergeable: the stream must degrade to a
 // single shard and still work.)
 
-func runExternalProtocol(t *testing.T, proto loloha.Protocol, opts ...loloha.StreamOption) {
+func runExternalProtocol(t *testing.T, proto loloha.Protocol) {
 	t.Helper()
 	const n = 64
-	stream, err := loloha.NewStream(proto, opts...)
+	stream, err := loloha.NewStream(proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,46 +138,31 @@ func runExternalProtocol(t *testing.T, proto loloha.Protocol, opts ...loloha.Str
 }
 
 func TestExternalWireProtocolRoundTrip(t *testing.T) {
-	runExternalProtocol(t, newExternalProtocol(10, true))
+	runExternalProtocol(t, &histProto{histBase{k: 10, name: "ext-hist"}})
 }
 
-func TestExternalRegisteredDecoderRoundTrip(t *testing.T) {
-	proto := newExternalProtocol(10, false)
-	// Without a registry entry the protocol is unknown...
-	if _, err := loloha.NewStream(proto); err == nil {
-		t.Fatal("unregistered external protocol accepted")
+// TestExternalProtocolWithoutTallierRejected: tally-direct is the only
+// ingestion route, so a protocol without a WireTallier is refused at
+// construction rather than failing report by report.
+func TestExternalProtocolWithoutTallierRejected(t *testing.T) {
+	if _, err := loloha.NewStream(&histBase{k: 10, name: "ext-hist-untallied"}); err == nil {
+		t.Fatal("protocol without a WireTallier accepted")
 	}
-	// ...and with one it round-trips like any built-in.
-	loloha.RegisterDecoder(proto.Name(), func(p loloha.Protocol) (loloha.Decoder, error) {
-		return histDecoder{k: p.K()}, nil
-	})
-	defer loloha.RegisterDecoder(proto.Name(), nil)
-	runExternalProtocol(t, proto)
-}
-
-func TestExternalDecoderOptionRoundTrip(t *testing.T) {
-	// WithDecoder bypasses resolution entirely.
-	proto := newExternalProtocol(10, false)
-	runExternalProtocol(t, proto, loloha.WithDecoder(histDecoder{k: 10}))
 }
 
 func TestSpecExternalFamilyRegistry(t *testing.T) {
 	// One RegisterFamily call makes an out-of-repository protocol
-	// constructible from a declarative ProtocolSpec AND resolvable at the
-	// wire level — build and decoder resolution share the entry, with no
-	// separate RegisterDecoder step.
+	// constructible from a declarative ProtocolSpec, and the built protocol
+	// ingests like any built-in.
 	const fam = "ext-hist-family"
 	loloha.RegisterFamily(fam, loloha.FamilyInfo{
 		Doc:      "noise-free histogram (test-only)",
 		Required: []loloha.SpecField{loloha.SpecFieldK},
 		Build: func(s loloha.ProtocolSpec) (loloha.Protocol, error) {
-			return &histBase{k: s.K, name: fam}, nil
-		},
-		NewDecoder: func(p loloha.Protocol) (loloha.Decoder, error) {
-			return histDecoder{k: p.K()}, nil
+			return &histProto{histBase{k: s.K, name: fam}}, nil
 		},
 	})
-	defer loloha.RegisterFamily(fam, loloha.FamilyInfo{}) // zero info unregisters
+	defer loloha.RegisterFamily(fam, loloha.FamilyInfo{}) // no Build unregisters
 
 	if reg := loloha.Families(); !slices.Contains(reg, fam) {
 		t.Fatalf("registered family %q missing from Families() = %v", fam, reg)
@@ -187,7 +172,7 @@ func TestSpecExternalFamilyRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	runExternalProtocol(t, proto)
-	// histBase does not implement SpecProtocol; SpecOf reports that
+	// histProto does not implement SpecProtocol; SpecOf reports that
 	// honestly instead of inventing a description.
 	if _, ok := loloha.SpecOf(proto); ok {
 		t.Error("SpecOf invented a spec for a protocol without Spec()")

@@ -308,25 +308,6 @@ func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
 	return Report{HashSeed: hashSeed, X: x, g: g}, rest, nil
 }
 
-// ReportDecoder decodes LOLOHA round payloads for a protocol with reduced
-// domain g, resolving each user's hash from the enrolled hash seed.
-type ReportDecoder struct{ G int }
-
-// Decode implements longitudinal.Decoder.
-func (d ReportDecoder) Decode(payload []byte, reg longitudinal.Registration) (longitudinal.Report, error) {
-	rep, rest, err := DecodeReport(payload, d.G, reg.HashSeed)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in LOLOHA payload", len(rest))
-	}
-	return rep, nil
-}
-
-// WireDecoder implements longitudinal.WireProtocol.
-func (p *Protocol) WireDecoder() longitudinal.Decoder { return ReportDecoder{G: p.g} }
-
 // ---------------------------------------------------------------------------
 // Server side (Algorithm 2).
 

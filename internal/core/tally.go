@@ -15,30 +15,16 @@ func (p *Protocol) WireTallier() longitudinal.WireTallier { return wireTallier{p
 
 type wireTallier struct{ proto *Protocol }
 
-var _ longitudinal.ColumnarTallier = wireTallier{}
-
-// PayloadStride implements longitudinal.ColumnarTallier.
+// PayloadStride implements longitudinal.WireTallier.
 //
 //loloha:noalloc
 func (t wireTallier) PayloadStride() int { return freqoracle.GRRPayloadBytes(t.proto.g) }
 
-// TallyCell implements longitudinal.ColumnarTallier: the hash-cell parse
-// keeps its value range check; the length check is hoisted to the batch
-// decoder.
+// CheckRegistration implements longitudinal.WireTallier: every 64-bit
+// hash seed names a valid hash function, so any registration is accepted.
 //
 //loloha:noalloc
-func (t wireTallier) TallyCell(agg longitudinal.Aggregator, userID int, cell []byte, reg longitudinal.Registration) error {
-	a, ok := agg.(*Aggregator)
-	if !ok || a.proto != t.proto {
-		return fmt.Errorf("core: LOLOHA tallier cannot tally into %T", agg)
-	}
-	x, err := freqoracle.ParseGRRPayload(cell, t.proto.g)
-	if err != nil {
-		return err
-	}
-	a.AddReport(userID, Report{HashSeed: reg.HashSeed, X: x, g: t.proto.g})
-	return nil
-}
+func (wireTallier) CheckRegistration(longitudinal.Registration) error { return nil }
 
 // TallyWire implements longitudinal.WireTallier: parse the sanitized hash
 // cell and run the Algorithm 2 support loop against the user's registered

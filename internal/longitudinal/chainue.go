@@ -193,9 +193,6 @@ func (c *ChainUE) ApproxVariance(n int) float64 { return c.params.ApproxVariance
 // SteadyReportBits implements Protocol: a UE report is k bits per round.
 func (c *ChainUE) SteadyReportBits() int { return c.k }
 
-// WireDecoder implements WireProtocol.
-func (c *ChainUE) WireDecoder() Decoder { return UEDecoder{K: c.k} }
-
 // Spec implements SpecProtocol. Chains built through NewChainUE with a
 // custom name yield a spec whose family may not be registered; the four
 // standard calibrations round-trip.

@@ -6,15 +6,15 @@ import (
 	"math"
 )
 
-// Columnar batch wire format: one header plus packed parallel arrays for a
-// batch of same-protocol reports. The per-report framing of the existing
-// batch formats (a user ID and a length prefix per record) makes the
-// decoder, not memory bandwidth, the ingestion ceiling; steady-state
-// payloads of every protocol in this repository are fixed-size for a given
-// configuration (UE chains: ⌈k/8⌉ bytes, GRR chains: value bytes of k,
-// LOLOHA: value bytes of g, dBitFlipPM: ⌈d/8⌉ bytes), so a batch can carry
-// one stride and pack the payload bytes contiguously with no per-record
-// framing at all. The layout:
+// Columnar batch wire format (LCB1), the only report encoding servers
+// accept: one header plus packed parallel arrays for a batch of
+// same-protocol reports. Per-report framing (a user ID and a length prefix
+// per record) would make the decoder, not memory bandwidth, the ingestion
+// ceiling; steady-state payloads of every protocol in this repository are
+// fixed-size for a given configuration (UE chains: ⌈k/8⌉ bytes, GRR
+// chains: value bytes of k, LOLOHA: value bytes of g, dBitFlipPM: ⌈d/8⌉
+// bytes), so a batch can carry one stride and pack the payload bytes
+// contiguously with no per-record framing at all. The layout:
 //
 //	u32 LE  magic "LCB1"
 //	u64 LE  spec hash (ProtocolSpec.Hash of the batch's protocol; 0 = none)
@@ -90,36 +90,17 @@ func SpecHashOf(p Protocol) uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// The columnar tally fast path.
-
-// ColumnarTallier is a WireTallier whose steady-state payloads are
-// fixed-size, so a whole batch of them can be packed in one contiguous
-// column and tallied cell by cell with the length validation hoisted out
-// of the loop. Every tallier in this repository implements it.
-type ColumnarTallier interface {
-	WireTallier
-	// PayloadStride returns the exact steady-state payload size in bytes.
-	PayloadStride() int
-	// TallyCell is TallyWire under the columnar contract: the caller
-	// guarantees len(cell) == PayloadStride(), so implementations skip
-	// whole-payload length validation; data-dependent checks (value
-	// range, trailing bits, registration shape) remain per cell.
-	TallyCell(agg Aggregator, userID int, cell []byte, reg Registration) error
-}
+// Stride resolution.
 
 // ColumnarStrideOf returns the steady-state payload stride of the
-// protocol's tallier, when the protocol supports columnar ingestion
-// (TallyProtocol whose tallier is a ColumnarTallier).
+// protocol's tallier, when the protocol supports wire ingestion
+// (TallyProtocol).
 func ColumnarStrideOf(p Protocol) (int, bool) {
 	tp, ok := p.(TallyProtocol)
 	if !ok {
 		return 0, false
 	}
-	ct, ok := tp.WireTallier().(ColumnarTallier)
-	if !ok {
-		return 0, false
-	}
-	return ct.PayloadStride(), true
+	return tp.WireTallier().PayloadStride(), true
 }
 
 // ---------------------------------------------------------------------------

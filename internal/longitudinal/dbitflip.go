@@ -107,9 +107,6 @@ func (m *DBitFlipPM) ApproxVariance(n int) float64 {
 // SteadyReportBits implements Protocol: d bits per round (Table 1).
 func (m *DBitFlipPM) SteadyReportBits() int { return m.d }
 
-// WireDecoder implements WireProtocol.
-func (m *DBitFlipPM) WireDecoder() Decoder { return DBitDecoder{} }
-
 // Spec implements SpecProtocol. The family is always the generic
 // "dBitFlipPM" with explicit b and d — the canonical form the 1BitFlipPM /
 // bBitFlipPM convenience families normalize to.

@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the wire decoders: arbitrary bytes must produce either
-// a valid report or an error — never a panic, never an out-of-domain
-// report. `go test` exercises the seed corpus; `go test -fuzz` explores.
+// Fuzz targets for the spec parser, the columnar batch decoder and the
+// boxed report decoders: arbitrary bytes must produce either a valid value
+// or an error — never a panic, never an out-of-domain report. The
+// talliers' input validation is fuzzed by FuzzTallyWire.
+// `go test` exercises the seed corpus; `go test -fuzz` explores.
 
 // FuzzParseSpec feeds arbitrary bytes through the strict JSON spec parser
 // and, when a spec parses, through Build: malformed JSON, unknown fields
@@ -169,6 +171,10 @@ func FuzzColumnarBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeUEReport, FuzzDecodeGRRValueReport and FuzzDecodeDBitReport
+// cover the boxed report decoders in wire.go (the reference path that
+// turns round payloads back into Report values).
 
 func FuzzDecodeUEReport(f *testing.F) {
 	f.Add([]byte{0x00}, 8)

@@ -80,9 +80,6 @@ func (m *LGRR) SteadyReportBits() int {
 	return int(math.Ceil(math.Log2(float64(m.k))))
 }
 
-// WireDecoder implements WireProtocol.
-func (m *LGRR) WireDecoder() Decoder { return GRRDecoder{K: m.k} }
-
 // Spec implements SpecProtocol.
 func (m *LGRR) Spec() ProtocolSpec {
 	return ProtocolSpec{Family: "L-GRR", K: m.k, EpsInf: m.epsInf, Eps1: m.eps1}

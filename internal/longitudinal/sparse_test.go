@@ -88,8 +88,8 @@ func TestChainUESparseDenseParity(t *testing.T) {
 						if !bytes.Equal(bufD, bufS) {
 							t.Fatalf("user %d value %d: dense %x != sparse %x", u, v, bufD, bufS)
 						}
-						aggD.Add(u, UEDecoder{K: k}.mustDecode(t, bufD))
-						aggS.Add(u, UEDecoder{K: k}.mustDecode(t, bufS))
+						aggD.Add(u, mustDecodeUE(t, bufD, k))
+						aggS.Add(u, mustDecodeUE(t, bufS, k))
 					}
 				}
 				if !equalFloats(aggD.EndRound(), aggS.EndRound()) {
@@ -100,12 +100,12 @@ func TestChainUESparseDenseParity(t *testing.T) {
 	}
 }
 
-// mustDecode decodes one payload or fails the test.
-func (d UEDecoder) mustDecode(t *testing.T, payload []byte) Report {
+// mustDecodeUE decodes one complete k-bit UE payload or fails the test.
+func mustDecodeUE(t *testing.T, payload []byte, k int) Report {
 	t.Helper()
-	rep, err := d.Decode(payload, Registration{})
-	if err != nil {
-		t.Fatal(err)
+	rep, rest, err := DecodeUEReport(payload, k)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decoding UE payload: %v (%d trailing bytes)", err, len(rest))
 	}
 	return rep
 }

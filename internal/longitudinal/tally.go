@@ -6,33 +6,37 @@ import (
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 )
 
-// Tally-direct ingestion. The Decoder contract materializes a Report value
-// per payload — which costs one interface-boxing allocation per report on
-// the server's hot path. A WireTallier instead decodes the payload bits in
+// Tally-direct ingestion. A WireTallier decodes a steady-state payload in
 // place (views over the payload bytes, no intermediate report structs) and
-// bumps the aggregator's support counts directly, so steady-state wire
-// ingestion performs zero allocations per report. Estimates are
-// bit-identical to the Decoder path: both bump the same integer tallies.
-//
-// Decoder remains the compatibility path: protocols that only implement it
-// keep working, and a custom server.WithDecoder always wins over the
-// protocol's tallier.
+// bumps the aggregator's support counts directly, so wire ingestion
+// performs zero allocations per report. Estimates are bit-identical to the
+// boxed Client.Report + Aggregator.Add reference: both bump the same
+// integer tallies.
 
 // WireTallier tallies one steady-state round payload directly into an
-// aggregator, without materializing a Report.
+// aggregator, without materializing a Report. Steady-state payloads are
+// fixed-size for a given protocol configuration, so the same tallier
+// serves single reports and the packed payload column of a columnar
+// batch.
 type WireTallier interface {
+	// PayloadStride returns the exact steady-state payload size in bytes.
+	PayloadStride() int
+	// CheckRegistration validates a user's enrollment metadata against the
+	// protocol (for dBitFlipPM: exactly d sampled buckets, each in
+	// [0, b)). The collection service calls it at enrollment, so a hostile
+	// registration is rejected before any report can tally against it.
+	CheckRegistration(reg Registration) error
 	// TallyWire decodes payload in place and adds the report it carries to
 	// agg's current-round tallies for the identified user. agg must come
 	// from the same protocol that supplied the tallier (NewAggregator or a
 	// Fork of it); reg is the user's enrollment metadata. A non-nil error
-	// means nothing was tallied, exactly as a Decoder rejection would.
+	// means nothing was tallied.
 	TallyWire(agg Aggregator, userID int, payload []byte, reg Registration) error
 }
 
 // TallyProtocol is a Protocol whose steady-state payloads can be tallied
-// in place. Every protocol in this repository implements it; external
-// protocols may implement only WireProtocol (or register a Decoder) and
-// still plug into the collection service via the decode path.
+// in place. Every protocol in this repository implements it, and the
+// collection service accepts no other.
 type TallyProtocol interface {
 	Protocol
 	// WireTallier returns the tallier for this protocol's steady-state
@@ -48,29 +52,16 @@ func (c *ChainUE) WireTallier() WireTallier { return ueWireTallier{k: c.k} }
 
 type ueWireTallier struct{ k int }
 
-var _ ColumnarTallier = ueWireTallier{}
-
-// PayloadStride implements ColumnarTallier.
+// PayloadStride implements WireTallier.
 //
 //loloha:noalloc
 func (t ueWireTallier) PayloadStride() int { return freqoracle.UEPayloadBytes(t.k) }
 
-// TallyCell implements ColumnarTallier: the cell length is guaranteed by
-// the columnar contract; only the trailing-bit check remains per cell.
+// CheckRegistration implements WireTallier: UE chains need no enrollment
+// metadata, so any registration is accepted (and ignored).
 //
 //loloha:noalloc
-func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registration) error {
-	a, ok := agg.(*chainUEAggregator)
-	if !ok || a.proto.k != t.k {
-		return fmt.Errorf("longitudinal: chained-UE tallier cannot tally into %T", agg)
-	}
-	if err := freqoracle.CheckUEPayload(cell, t.k); err != nil {
-		return err
-	}
-	freqoracle.AccumulateUEPayload(cell, t.k, a.counts)
-	a.n++
-	return nil
-}
+func (ueWireTallier) CheckRegistration(Registration) error { return nil }
 
 // TallyWire implements WireTallier: each set payload bit bumps one support
 // count straight from the payload bytes.
@@ -97,30 +88,16 @@ func (m *LGRR) WireTallier() WireTallier { return grrWireTallier{k: m.k} }
 
 type grrWireTallier struct{ k int }
 
-var _ ColumnarTallier = grrWireTallier{}
-
-// PayloadStride implements ColumnarTallier.
+// PayloadStride implements WireTallier.
 //
 //loloha:noalloc
 func (t grrWireTallier) PayloadStride() int { return freqoracle.GRRPayloadBytes(t.k) }
 
-// TallyCell implements ColumnarTallier: the scalar parse keeps its value
-// range check; the length check is hoisted to the batch decoder.
+// CheckRegistration implements WireTallier: L-GRR needs no enrollment
+// metadata, so any registration is accepted (and ignored).
 //
 //loloha:noalloc
-func (t grrWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registration) error {
-	a, ok := agg.(*lgrrAggregator)
-	if !ok || a.proto.k != t.k {
-		return fmt.Errorf("longitudinal: L-GRR tallier cannot tally into %T", agg)
-	}
-	x, err := freqoracle.ParseGRRPayload(cell, t.k)
-	if err != nil {
-		return err
-	}
-	a.counts[x]++
-	a.n++
-	return nil
-}
+func (grrWireTallier) CheckRegistration(Registration) error { return nil }
 
 // TallyWire implements WireTallier: parse the scalar value and bump its
 // count.
@@ -148,44 +125,33 @@ func (m *DBitFlipPM) WireTallier() WireTallier { return dbitWireTallier{proto: m
 
 type dbitWireTallier struct{ proto *DBitFlipPM }
 
-var _ ColumnarTallier = dbitWireTallier{}
-
-// PayloadStride implements ColumnarTallier.
+// PayloadStride implements WireTallier.
 //
 //loloha:noalloc
 func (t dbitWireTallier) PayloadStride() int { return (t.proto.d + 7) / 8 }
 
-// TallyCell implements ColumnarTallier: the registration-shape checks
-// stay per cell (they depend on the user's enrollment, not the wire
-// framing); the payload length is guaranteed by the columnar contract.
+// CheckRegistration implements WireTallier: a dBitFlipPM user enrolls
+// exactly d sampled buckets, each a valid bucket index. Anything else
+// would index past the aggregator's b counts.
 //
 //loloha:noalloc
-func (t dbitWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, reg Registration) error {
-	a, ok := agg.(*dBitAggregator)
-	if !ok || a.proto != t.proto {
-		return fmt.Errorf("longitudinal: dBitFlipPM tallier cannot tally into %T", agg)
+func (t dbitWireTallier) CheckRegistration(reg Registration) error {
+	if len(reg.Sampled) != t.proto.d {
+		return fmt.Errorf("longitudinal: dBitFlipPM registration has %d sampled buckets, want %d",
+			len(reg.Sampled), t.proto.d)
 	}
-	d := len(reg.Sampled)
-	if d == 0 {
-		return fmt.Errorf("longitudinal: user enrolled without sampled buckets")
-	}
-	if d != a.proto.d {
-		// Mirror TallyWire: an enrollment whose sampled-set size disagrees
-		// with the protocol is a programming error, not a malformed cell.
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM report carries %d bits, want %d", d, a.proto.d))
-	}
-	for l, j := range reg.Sampled {
-		if cell[l/8]>>(uint(l)%8)&1 == 1 {
-			a.counts[j]++
+	for _, j := range reg.Sampled {
+		if j < 0 || j >= t.proto.b {
+			return fmt.Errorf("longitudinal: dBitFlipPM sampled bucket %d outside [0, %d)", j, t.proto.b)
 		}
 	}
-	a.n++
 	return nil
 }
 
 // TallyWire implements WireTallier: each set payload bit bumps the count
 // of the user's enrolled sampled bucket at that slot, straight from the
-// payload bytes.
+// payload bytes. The registration is re-checked per report, so a tallier
+// driven outside the collection service cannot index past the counts.
 //
 //loloha:noalloc
 func (t dbitWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, reg Registration) error {
@@ -193,22 +159,11 @@ func (t dbitWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, reg Re
 	if !ok || a.proto != t.proto {
 		return fmt.Errorf("longitudinal: dBitFlipPM tallier cannot tally into %T", agg)
 	}
-	d := len(reg.Sampled)
-	if d == 0 {
-		return fmt.Errorf("longitudinal: user enrolled without sampled buckets")
+	if err := t.CheckRegistration(reg); err != nil {
+		return err
 	}
-	nBytes := (d + 7) / 8
-	if len(payload) < nBytes {
-		return fmt.Errorf("longitudinal: short dBit report: %d bytes, want %d", len(payload), nBytes)
-	}
-	if len(payload) > nBytes {
-		return fmt.Errorf("longitudinal: %d trailing bytes in dBit payload", len(payload)-nBytes)
-	}
-	if d != a.proto.d {
-		// Mirror the aggregator's Add contract: a registration whose
-		// sampled-set size disagrees with the protocol is a programming
-		// error, not a malformed payload.
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM report carries %d bits, want %d", d, a.proto.d))
+	if n := t.PayloadStride(); len(payload) != n {
+		return fmt.Errorf("longitudinal: dBit payload is %d bytes, want %d", len(payload), n)
 	}
 	for l, j := range reg.Sampled {
 		if payload[l/8]>>(uint(l)%8)&1 == 1 {

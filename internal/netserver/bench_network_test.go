@@ -2,8 +2,8 @@ package netserver
 
 // BenchmarkNetworkIngest measures what the socket boundary costs: one
 // collection round (batch ingest + round close) per iteration, identical
-// payloads pushed in-process, over loopback HTTP (/v1/reports batch
-// bodies) and over loopback TCP (report frames + flush barrier).
+// payloads pushed in-process, over loopback HTTP (LCB1 /v1/reports
+// bodies) and over loopback TCP (LCB1 columnar frames + flush barrier).
 // BENCH_network.json records the checked-in baseline.
 //
 //	go test -run xxx -bench NetworkIngest -benchmem ./internal/netserver
@@ -36,55 +36,6 @@ func BenchmarkNetworkIngest(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if err := stream.IngestBatch(fx.ids, fx.payloads); err != nil {
 						b.Fatal(err)
-					}
-					if res := stream.CloseRound(); res.Reports != batch {
-						b.Fatalf("round tallied %d reports, want %d", res.Reports, batch)
-					}
-				}
-				reportRate(b, batch)
-			})
-			b.Run(fmt.Sprintf("%s/http/batch=%d", fam.name, batch), func(b *testing.B) {
-				fx, proto := mkRound(b)
-				stream := newTestStream(b, proto)
-				srv := newTestServer(b, stream, Config{})
-				ts := httptest.NewServer(srv.Handler())
-				defer ts.Close()
-				fx.enrollDirect(b, stream)
-				body := fx.batchBody()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					resp, err := http.Post(ts.URL+"/v1/reports", "application/octet-stream", bytes.NewReader(body))
-					if err != nil {
-						b.Fatal(err)
-					}
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						b.Fatalf("batch POST: status %d", resp.StatusCode)
-					}
-					if res := stream.CloseRound(); res.Reports != batch {
-						b.Fatalf("round tallied %d reports, want %d", res.Reports, batch)
-					}
-				}
-				reportRate(b, batch)
-			})
-			b.Run(fmt.Sprintf("%s/tcp/batch=%d", fam.name, batch), func(b *testing.B) {
-				fx, proto := mkRound(b)
-				stream := newTestStream(b, proto)
-				srv := newTestServer(b, stream, Config{})
-				conn := dialTCPServer(b, srv)
-				fx.enrollDirect(b, stream)
-				frames := fx.reportFrames()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := conn.Write(frames); err != nil {
-						b.Fatal(err)
-					}
-					ack, err := ReadAck(conn)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if ack.ReportRejected != 0 {
-						b.Fatalf("ack = %+v: rejected reports", ack)
 					}
 					if res := stream.CloseRound(); res.Reports != batch {
 						b.Fatalf("round tallied %d reports, want %d", res.Reports, batch)
@@ -185,14 +136,6 @@ func (fx *roundFixture) enrollDirect(b *testing.B, stream interface {
 	}
 }
 
-func (fx *roundFixture) batchBody() []byte {
-	var body []byte
-	for i, id := range fx.ids {
-		body = AppendBatchRecord(body, id, fx.payloads[i])
-	}
-	return body
-}
-
 // columnarBody encodes the round as one columnar batch (steady-state
 // form: no registration columns; enrollment happened via enrollDirect).
 func (fx *roundFixture) columnarBody(b *testing.B, proto longitudinal.Protocol) []byte {
@@ -211,14 +154,6 @@ func (fx *roundFixture) columnarBody(b *testing.B, proto longitudinal.Protocol) 
 		}
 	}
 	return w.AppendTo(nil)
-}
-
-func (fx *roundFixture) reportFrames() []byte {
-	var frames []byte
-	for i, id := range fx.ids {
-		frames = AppendReportFrame(frames, id, fx.payloads[i])
-	}
-	return AppendFlushFrame(frames)
 }
 
 func reportRate(b *testing.B, batch int) {

@@ -168,9 +168,10 @@ func TestEndToEndParity(t *testing.T) {
 				tcpColSrv := newTestServer(t, tcpColStream, Config{})
 				colConn := dialTCPServer(t, tcpColSrv)
 
-				// Enroll the same users on the per-report legs: directly,
-				// over JSON, and over enroll frames. The columnar legs
-				// enroll through their round-0 registration columns instead.
+				// Enroll the same users on the chunked legs: directly, over
+				// JSON, and over enroll frames. The single-batch columnar
+				// legs enroll through their round-0 registration columns
+				// instead.
 				clients := make([]longitudinal.AppendReporter, n)
 				regs := make([]longitudinal.Registration, n)
 				ids := make([]int, n)
@@ -216,16 +217,27 @@ func TestEndToEndParity(t *testing.T) {
 					}
 					refRes := ref.CloseRound()
 
+					// chunk encodes the steady-state columnar batch of users
+					// [lo, hi).
+					chunk := func(lo, hi int) []byte {
+						w, err := longitudinal.NewColumnarWriter(specHash, stride)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for u := lo; u < hi; u++ {
+							if err := w.Add(ids[u], payloads[u]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						return w.AppendTo(nil)
+					}
+
 					// HTTP: several batch bodies, then close over the API and
 					// check the JSON response against the reference (Go's JSON
 					// float encoding round-trips float64 exactly).
 					for lo := 0; lo < n; lo += httpChunk {
 						hi := min(lo+httpChunk, n)
-						var body []byte
-						for u := lo; u < hi; u++ {
-							body = AppendBatchRecord(body, ids[u], payloads[u])
-						}
-						resp, err := http.Post(ts.URL+"/v1/reports", "application/octet-stream", bytes.NewReader(body))
+						resp, err := http.Post(ts.URL+"/v1/reports", ContentTypeColumnar, bytes.NewReader(chunk(lo, hi)))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -249,10 +261,11 @@ func TestEndToEndParity(t *testing.T) {
 					}
 					resp.Body.Close()
 
-					// TCP: one frame per report, flush as the round barrier.
+					// TCP: one columnar frame per chunk, flush as the round
+					// barrier.
 					frames = frames[:0]
-					for u := range clients {
-						frames = AppendReportFrame(frames, ids[u], payloads[u])
+					for lo := 0; lo < n; lo += httpChunk {
+						frames = AppendColumnarFrame(frames, chunk(lo, min(lo+httpChunk, n)))
 					}
 					if _, err := conn.Write(frames); err != nil {
 						t.Fatal(err)
@@ -262,9 +275,10 @@ func TestEndToEndParity(t *testing.T) {
 					}
 					tcpRes := tcpStream.CloseRound()
 
-					// Columnar: one packed batch per round, identical payload
-					// bytes; round 0 carries the registration columns that
-					// enroll the users on these legs.
+					// Single-batch columnar legs: one packed batch per round,
+					// identical payload bytes; round 0 carries the
+					// registration columns that enroll the users on these
+					// legs.
 					w, err := longitudinal.NewColumnarWriter(specHash, stride)
 					if err != nil {
 						t.Fatal(err)
@@ -488,8 +502,31 @@ func TestHTTPRejections(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Truncated batch record: framing error, whole batch rejected.
-	resp, err := http.Post(ts.URL+"/v1/reports", "application/octet-stream", bytes.NewReader([]byte{1, 2, 3}))
+	// LCB1 is the only report encoding: any other content type is a 415,
+	// whatever the body.
+	for _, ct := range []string{"application/octet-stream", "", ContentTypeColumnar + "; v=2"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/reports", bytes.NewReader([]byte{1, 2, 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Fatalf("Content-Type %q: status %d, want 415", ct, resp.StatusCode)
+		}
+	}
+	if got := stream.Pending(); got != 0 {
+		t.Fatalf("%d reports tallied from rejected content types", got)
+	}
+
+	// Truncated columnar batch: framing error, whole batch rejected.
+	resp, err := http.Post(ts.URL+"/v1/reports", ContentTypeColumnar, bytes.NewReader([]byte{1, 2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +536,7 @@ func TestHTTPRejections(t *testing.T) {
 	}
 
 	// Oversize body: refused before reading.
-	resp, err = http.Post(ts.URL+"/v1/reports", "application/octet-stream", bytes.NewReader(make([]byte, 2<<10)))
+	resp, err = http.Post(ts.URL+"/v1/reports", ContentTypeColumnar, bytes.NewReader(make([]byte, 2<<10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,10 +562,17 @@ func TestHTTPRejections(t *testing.T) {
 		t.Fatalf("conflicting re-enrollment: status %d, want 409", resp.StatusCode)
 	}
 
-	// A batch whose records are well-framed but reference unknown users
-	// lands with per-report rejections and a 200.
-	body := AppendBatchRecord(nil, 999, []byte{0})
-	resp, err = http.Post(ts.URL+"/v1/reports", "application/octet-stream", bytes.NewReader(body))
+	// A well-formed batch that references unknown users lands with
+	// per-report rejections and a 200.
+	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(999, make([]byte, stride)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/reports", ContentTypeColumnar, bytes.NewReader(w.AppendTo(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +602,7 @@ func TestTCPProtocolErrors(t *testing.T) {
 	conn := dialTCPServer(t, srv)
 	var hdr [frameHeaderBytes]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xff, 0xff, 0xff, 0x7f
-	hdr[4] = FrameReport
+	hdr[4] = FrameColumnar
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -567,34 +611,50 @@ func TestTCPProtocolErrors(t *testing.T) {
 		t.Fatal("connection survived an oversize frame")
 	}
 
-	// An unknown frame type likewise.
-	conn = dialTCPServer(t, srv)
-	if _, err := conn.Write([]byte{0, 0, 0, 0, 0x7e}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("connection survived an unknown frame type")
+	// An unknown frame type likewise, and so does the reserved type 0x02
+	// (the retired per-report frame), even with a once-valid body.
+	for _, frame := range [][]byte{
+		{0, 0, 0, 0, 0x7e},
+		{9, 0, 0, 0, 0x02, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		conn = dialTCPServer(t, srv)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("connection survived frame type 0x%02x", frame[4])
+		}
 	}
 
-	// Semantic rejections (short body, unknown user) only bump counters.
+	// Semantic rejections (short enroll body, unknown users) only bump
+	// counters.
 	conn = dialTCPServer(t, srv)
-	var frames []byte
-	frames = appendShortReportFrame(frames)
-	frames = AppendReportFrame(frames, 424242, []byte{0}) // not enrolled
+	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []int{424242, 424243} { // not enrolled
+		if err := w.Add(u, make([]byte, stride)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := appendShortEnrollFrame(nil)
+	frames = AppendColumnarFrame(frames, w.AppendTo(nil))
 	if _, err := conn.Write(frames); err != nil {
 		t.Fatal(err)
 	}
 	ack := flushAndAck(t, conn)
-	if ack.Reports != 0 || ack.ReportRejected != 2 {
-		t.Fatalf("ack = %+v, want 2 rejected reports", ack)
+	if ack.EnrollRejected != 1 || ack.Reports != 0 || ack.ReportRejected != 2 {
+		t.Fatalf("ack = %+v, want 1 rejected enrollment and 2 rejected reports", ack)
 	}
 }
 
-// appendShortReportFrame appends a well-framed report frame whose
-// body is too short to carry a user ID.
-func appendShortReportFrame(dst []byte) []byte {
-	dst = append(dst, 4, 0, 0, 0, FrameReport)
+// appendShortEnrollFrame appends a well-framed enroll frame whose body is
+// too short to carry a user ID.
+func appendShortEnrollFrame(dst []byte) []byte {
+	dst = append(dst, 4, 0, 0, 0, FrameEnroll)
 	return append(dst, 1, 2, 3, 4)
 }
 

@@ -24,29 +24,31 @@ import (
 // Client → server frames:
 //
 //	enroll   (0x01): u64 LE userID ++ longitudinal.AppendRegistration bytes
-//	report   (0x02): u64 LE userID ++ Report.AppendBinary payload
+//	(0x02):          reserved, never reused (formerly a per-report frame);
+//	                 it closes the connection like any unknown type
 //	flush    (0x03): empty body; requests an ack
 //	columnar (0x04): one longitudinal columnar batch (header + packed
-//	                 ID/registration/payload columns), no per-report framing
+//	                 ID/registration/payload columns), the only report frame
 //
 // Server → client frames:
 //
 //	ack (0x80): 4 × u64 LE — enrolled, enrollRejected, reports,
 //	            reportRejected (connection-lifetime counters)
 //
-// Reports and enrollments are one-way (rejections only bump counters), so
-// the steady state never waits on the server; flush is the explicit sync
-// point — after its ack, every prior frame on the connection has been
-// applied, which is what a load generator or a parity test needs before
-// closing a round. A malformed frame (unknown type, oversize length,
+// Columnar batches and enrollments are one-way (rejections only bump
+// counters), so the steady state never waits on the server; flush is the
+// explicit sync point — after its ack, every prior frame on the
+// connection has been applied, which is what a load generator or a parity
+// test needs before closing a round. A malformed frame (unknown type, oversize length,
 // short body) is a protocol error and closes the connection: framing
 // corruption is not survivable, unlike a semantically rejected report.
 
 const (
 	// FrameEnroll carries one user's enrollment.
 	FrameEnroll = 0x01
-	// FrameReport carries one user's round payload.
-	FrameReport = 0x02
+	// Type 0x02 is reserved and never reused: it carried single reports
+	// before columnar batches became the only report encoding.
+
 	// FrameFlush requests an Ack for all prior frames.
 	FrameFlush = 0x03
 	// FrameColumnar carries one columnar batch of reports
@@ -76,8 +78,8 @@ const (
 	frameHeaderBytes  = 5
 	ackBodyBytes      = 32
 	mergeAckBodyBytes = 17
-	// frameMinBody is the smallest body a well-formed enroll/report frame
-	// carries (the user ID); MaxFrameBytes may not be configured below it.
+	// frameMinBody is the smallest body a well-formed enroll frame carries
+	// (the user ID); MaxFrameBytes may not be configured below it.
 	frameMinBody = 8
 )
 
@@ -125,18 +127,6 @@ func AppendEnrollFrame(dst []byte, userID int, reg longitudinal.Registration) ([
 	return longitudinal.AppendRegistration(dst, reg)
 }
 
-// AppendReportFrame appends a report frame for userID to dst. The payload
-// is the protocol's steady-state wire form (Report.AppendBinary /
-// AppendReporter.AppendReport bytes).
-//
-//loloha:noalloc
-func AppendReportFrame(dst []byte, userID int, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+len(payload)))
-	dst = append(dst, FrameReport)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(userID))
-	return append(dst, payload...)
-}
-
 // AppendColumnarFrame appends a columnar batch frame to dst. batch is an
 // encoded columnar batch (longitudinal.ColumnarWriter.AppendTo bytes).
 //
@@ -149,7 +139,7 @@ func AppendColumnarFrame(dst []byte, batch []byte) []byte {
 
 // AppendMergeFrame appends a merge frame to dst. snap is an encoded LSS1
 // snapshot image (persist.Append bytes); merged reports are confirmed
-// through the ack's Reports counter like ordinary report frames.
+// through the ack's Reports counter like columnar report batches.
 //
 //loloha:noalloc
 func AppendMergeFrame(dst []byte, snap []byte) []byte {
@@ -224,9 +214,10 @@ func ReadAck(r io.Reader) (Ack, error) {
 // Server-side connection loop.
 
 // tcpConn is one accepted raw-frame connection. The read loop owns all of
-// its state — one frame buffer, one buffered reader/writer, four counters
-// — so the steady state (report frame → Ingest) touches no shared memory
-// beyond the stream's shard and performs zero allocations per report.
+// its state — one frame buffer, one decode target, one buffered
+// reader/writer, four counters — so the steady state (columnar frame →
+// IngestColumnar) touches no shared memory beyond the stream's shards and
+// performs zero allocations per report.
 type tcpConn struct {
 	srv *Server
 	nc  net.Conn
@@ -266,8 +257,6 @@ func (c *tcpConn) serve() {
 			return // EOF (clean close), read error, or oversize frame
 		}
 		switch typ {
-		case FrameReport:
-			c.handleReport(body)
 		case FrameColumnar:
 			if !c.handleColumnar(body) {
 				return // undecodable or wrong-protocol batch: protocol error
@@ -311,29 +300,6 @@ func (c *tcpConn) readFrame() (byte, []byte, error) {
 		return 0, nil, err
 	}
 	return c.hdr[4], body, nil
-}
-
-// handleReport applies one report frame: parse the user ID, tally the
-// payload. This is the decode→tally hot path of the daemon — zero
-// allocations per report in the steady state (rejections may allocate
-// their error, which the server drops after counting).
-//
-//loloha:noalloc
-func (c *tcpConn) handleReport(body []byte) {
-	if len(body) < 8 {
-		c.reportRejected++
-		return
-	}
-	id := binary.LittleEndian.Uint64(body)
-	if id > math.MaxInt {
-		c.reportRejected++
-		return
-	}
-	if err := c.srv.stream.Ingest(int(id), body[8:]); err != nil {
-		c.reportRejected++
-		return
-	}
-	c.reports++
 }
 
 // handleColumnar applies one columnar batch frame: decode the packed

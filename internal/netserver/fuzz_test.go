@@ -1,10 +1,11 @@
 package netserver
 
-// Fuzz targets for the two network-facing parsers: the TCP frame reader
-// and the HTTP batch-body decoder. Both consume attacker-controlled bytes
-// before any authentication, so they must never panic, never allocate
-// anything sized by an unvalidated length, and — for the batch decoder —
-// accept exactly the bodies AppendBatchRecord produces.
+// Fuzz targets for the network-facing parsers: the TCP frame reader, the
+// merge-frame path and the HTTP /v1/reports body (one LCB1 batch). All
+// consume attacker-controlled bytes before any authentication, so they
+// must never panic and never allocate anything sized by an unvalidated
+// length. FuzzColumnarBatch and FuzzTallyWire in internal/longitudinal
+// cover the LCB1 decoder and the talliers on their own.
 //
 // CI runs these for a few seconds per push (the fuzz-smoke job); longer
 // local runs: go test -fuzz FuzzFrameStream ./internal/netserver
@@ -12,7 +13,11 @@ package netserver
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"github.com/loloha-ldp/loloha/internal/core"
@@ -22,7 +27,7 @@ import (
 )
 
 func FuzzFrameStream(f *testing.F) {
-	// Seeds: a well-formed session (enroll, report, flush), then
+	// Seeds: a well-formed session (enroll, columnar batch, flush), then
 	// structured garbage around each validation edge.
 	proto, err := core.NewBinary(16, 2, 1)
 	if err != nil {
@@ -33,14 +38,22 @@ func FuzzFrameStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	session = AppendReportFrame(session, 1, cl.AppendReport(nil, 3))
+	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Add(1, cl.AppendReport(nil, 3)); err != nil {
+		f.Fatal(err)
+	}
+	session = AppendColumnarFrame(session, w.AppendTo(nil))
 	session = AppendFlushFrame(session)
 	f.Add(session)
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, FrameReport}) // oversize length
-	f.Add([]byte{4, 0, 0, 0, FrameEnroll, 1, 2, 3, 4}) // short enroll body
-	f.Add([]byte{0, 0, 0, 0, 0x7e})                    // unknown type
-	f.Add(append([]byte{9, 0, 0, 0, FrameReport}, make([]byte, 9)...))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, FrameColumnar}) // oversize length
+	f.Add([]byte{4, 0, 0, 0, FrameEnroll, 1, 2, 3, 4})   // short enroll body
+	f.Add([]byte{0, 0, 0, 0, 0x7e})                      // unknown type
+	f.Add(append([]byte{9, 0, 0, 0, FrameColumnar}, make([]byte, 9)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stream, err := server.NewStream(proto, server.WithShards(1))
@@ -132,32 +145,93 @@ func FuzzMergeFrame(f *testing.F) {
 	})
 }
 
+// FuzzBatchBody posts arbitrary bytes as a POST /v1/reports body. The
+// handler must answer 200, 400 or 413 (never a panic or a 5xx); a 400 or
+// 413 must tally nothing; a 200 must account for every report of the batch as
+// received or rejected, and only for a body DecodeColumnar accepts.
 func FuzzBatchBody(f *testing.F) {
+	proto, err := core.NewBinary(16, 2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	hash := longitudinal.SpecHashOf(proto)
+	cl := proto.NewClient(1).(longitudinal.AppendReporter)
+
+	// Seeds: an empty body, a warm batch, a cold enroll-and-report batch,
+	// a truncated header, trailing garbage, and a batch whose declared
+	// count runs far past the body.
+	warm, err := longitudinal.NewColumnarWriter(hash, stride)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := warm.Add(1, cl.AppendReport(nil, 3)); err != nil {
+		f.Fatal(err)
+	}
+	cold, err := longitudinal.NewColumnarWriter(hash, stride)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := cold.WithRegistrations(0); err != nil {
+		f.Fatal(err)
+	}
+	if err := cold.AddWithRegistration(2, cl.AppendReport(nil, 5), cl.WireRegistration()); err != nil {
+		f.Fatal(err)
+	}
+	warmBody := warm.AppendTo(nil)
+	hostile := slices.Clone(warmBody)
+	for i := 16; i < 20 && i < len(hostile); i++ {
+		hostile[i] = 0xff
+	}
 	f.Add([]byte{})
-	f.Add(AppendBatchRecord(nil, 7, []byte{1, 2, 3}))
-	f.Add(AppendBatchRecord(AppendBatchRecord(nil, 0, nil), 1, []byte{9}))
-	f.Add([]byte{1, 2, 3})                                    // truncated header
-	f.Add(append(AppendBatchRecord(nil, 1, []byte{5}), 0xff)) // trailing garbage
-	hostile := AppendBatchRecord(nil, 2, []byte{1})
-	hostile[8] = 0xff // declared payload length far past the body
+	f.Add(warmBody)
+	f.Add(cold.AppendTo(nil))
+	f.Add(warmBody[:5])
+	f.Add(append(slices.Clone(warmBody), 0xff))
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ids, payloads, err := decodeBatchBody(data, nil, nil, 1<<10)
+		stream, err := server.NewStream(proto, server.WithShards(1))
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		if len(ids) != len(payloads) {
-			t.Fatalf("decode returned %d ids for %d payloads", len(ids), len(payloads))
+		defer stream.Close()
+		if err := stream.Enroll(1, cl.WireRegistration()); err != nil {
+			t.Fatal(err)
 		}
-		// Accepted bodies are exactly the canonical encoding: re-encoding
-		// the decoded records must reproduce the input byte for byte.
-		var reencoded []byte
-		for i := range ids {
-			reencoded = AppendBatchRecord(reencoded, ids[i], payloads[i])
+		srv, err := New(Config{Stream: stream, MaxBatchBytes: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(reencoded, data) {
-			t.Fatalf("decode/encode round-trip diverges:\n in  %x\n out %x", data, reencoded)
+		defer srv.Close()
+
+		req := httptest.NewRequest(http.MethodPost, "/v1/reports", bytes.NewReader(data))
+		req.Header.Set("Content-Type", ContentTypeColumnar)
+		rec := httptest.NewRecorder()
+		srv.handleReports(rec, req)
+
+		var decoded longitudinal.ColumnarBatch
+		decodeErr := longitudinal.DecodeColumnar(data, &decoded)
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if got := srv.httpReports.Load() + srv.httpRejected.Load(); got != 0 {
+				t.Fatalf("400 answer still counted %d reports", got)
+			}
+		case http.StatusOK:
+			if decodeErr != nil {
+				t.Fatalf("200 for a body DecodeColumnar rejects: %v", decodeErr)
+			}
+			var resp struct{ Received, Rejected int }
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("response %q: %v", rec.Body.String(), err)
+			}
+			if resp.Received+resp.Rejected != decoded.Count() {
+				t.Fatalf("received %d + rejected %d, batch holds %d reports",
+					resp.Received, resp.Rejected, decoded.Count())
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+		stream.CloseRound()
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/loloha-ldp/loloha/internal/heavyhitter"
@@ -15,18 +16,41 @@ import (
 	"github.com/loloha-ldp/loloha/internal/server"
 )
 
-// HTTP API. All bodies are JSON except /v1/reports, whose binary batch
-// format (AppendBatchRecord) exists so the hot path stays hot: JSON
-// would cost a parse and an allocation per report.
+// HTTP API. All bodies are JSON except /v1/reports, whose body is one
+// LCB1 columnar batch so the hot path stays hot: JSON would cost a parse
+// and an allocation per report.
 //
 //	POST /v1/enroll       {"user_id":7,"hash_seed":9,"sampled":[1,2]}
-//	POST /v1/reports      binary batch body → {"received":N,"rejected":M}
-//	POST /v1/merge        binary LSS1 snapshot body → {"merged":N} (collector roots only)
+//	POST /v1/reports      LCB1 body (Content-Type ContentTypeColumnar) → {"received":N,"rejected":M}
+//	                      any other Content-Type → 415
+//	POST /v1/merge        binary LME1 envelope or LSS1 snapshot body → {"merged":N} (collector roots only)
 //	POST /v1/round/close  → RoundResult of the closed round
 //	GET  /v1/rounds/{t}   → RoundResult of round t
 //	GET  /v1/status       → daemon + stream counters and the protocol spec
 //	GET  /v1/stream       → text/event-stream of RoundResults
 //	GET  /                → embedded live dashboard
+
+// ContentTypeColumnar is the required Content-Type of POST /v1/reports:
+// the body is one longitudinal columnar batch (ColumnarWriter.AppendTo
+// bytes). Any other content type is answered 415.
+const ContentTypeColumnar = "application/x-loloha-columnar"
+
+// batchBuffers is the pooled per-request working memory of the report
+// handler: the body buffer and the columnar decode target, whose column
+// slices are reused across requests.
+type batchBuffers struct {
+	body []byte
+	col  longitudinal.ColumnarBatch
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchBuffers) }}
+
+// putBatchBuffers drops the payload alias so pooled memory never pins a
+// request body's decoded view longer than the request.
+func putBatchBuffers(b *batchBuffers) {
+	b.col.Payloads = nil
+	batchPool.Put(b)
+}
 
 // enrollRequest is the JSON enrollment body; HashSeed and Sampled mirror
 // longitudinal.Registration.
@@ -77,6 +101,8 @@ type ingestStatsJSON struct {
 	Rejected   uint64 `json:"rejected"`
 }
 
+// httpStatsJSON counts HTTP traffic. Rejected sums rejected enrollments
+// and rejected reports, like the TCP counter.
 type httpStatsJSON struct {
 	Batches  uint64 `json:"batches"`
 	Reports  uint64 `json:"reports"`
@@ -168,15 +194,26 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	}
 	reg := longitudinal.Registration{HashSeed: req.HashSeed, Sampled: req.Sampled}
 	if err := s.stream.Enroll(req.UserID, reg); err != nil {
-		// Conflicting re-enrollment (or a cohort-owned ID) is the caller's
-		// bug, not the server's.
-		writeError(w, http.StatusConflict, err)
+		s.httpRejected.Add(1)
+		// A registration the protocol cannot accept is malformed input;
+		// a conflicting re-enrollment (or a cohort-owned ID) is the
+		// caller's bug, not the server's.
+		status := http.StatusConflict
+		if errors.Is(err, server.ErrInvalidRegistration) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
+	if ct := r.Header.Get("Content-Type"); ct != ContentTypeColumnar {
+		writeError(w, http.StatusUnsupportedMediaType,
+			fmt.Errorf("netserver: report body Content-Type %q, want %q", ct, ContentTypeColumnar))
+		return
+	}
 	if r.ContentLength > int64(s.maxBatch) {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("netserver: batch body %d bytes exceeds limit %d", r.ContentLength, s.maxBatch))
@@ -190,31 +227,18 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var n int
-	var ingestErr error
-	if r.Header.Get("Content-Type") == ContentTypeColumnar {
-		if err := longitudinal.DecodeColumnar(body, &bb.col); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		n = bb.col.Count()
-		ingestErr = s.stream.IngestColumnar(&bb.col)
-		if errors.Is(ingestErr, server.ErrColumnarMismatch) {
-			// The whole batch was built for another protocol configuration:
-			// the client's encoder is misconfigured, a 400 like a framing
-			// error, not a per-report rejection.
-			writeError(w, http.StatusBadRequest, ingestErr)
-			return
-		}
-	} else {
-		ids, payloads, err := decodeBatchBody(body, bb.ids, bb.payloads, s.maxFrame)
-		bb.ids, bb.payloads = ids, payloads
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		n = len(ids)
-		ingestErr = s.stream.IngestBatch(ids, payloads)
+	if err := longitudinal.DecodeColumnar(body, &bb.col); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	n := bb.col.Count()
+	ingestErr := s.stream.IngestColumnar(&bb.col)
+	if errors.Is(ingestErr, server.ErrColumnarMismatch) {
+		// The whole batch was built for another protocol configuration:
+		// the client's encoder is misconfigured, a 400 like a framing
+		// error, not a per-report rejection.
+		writeError(w, http.StatusBadRequest, ingestErr)
+		return
 	}
 	rejected := countJoined(ingestErr)
 	s.httpBatches.Add(1)
@@ -264,8 +288,8 @@ func readBody(r *http.Request, buf []byte, max int) ([]byte, error) {
 	return buf, nil
 }
 
-// countJoined counts the sub-errors of an errors.Join result (IngestBatch
-// joins one error per rejected report). Steady state is err == nil;
+// countJoined counts the sub-errors of an errors.Join result
+// (IngestColumnar joins one error per rejected report). Steady state is err == nil;
 // everything past the first return only runs for rejected reports.
 //
 //loloha:noalloc

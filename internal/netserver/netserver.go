@@ -4,20 +4,21 @@
 //
 // Two ingestion fronts share one Stream:
 //
-//   - HTTP: JSON enrollment (POST /v1/enroll), binary batched report
-//     ingestion (POST /v1/reports, the batch-record format of
-//     AppendBatchRecord feeding Stream.IngestBatch), round control
-//     (POST /v1/round/close), history and status reads, and a live
+//   - HTTP: JSON enrollment (POST /v1/enroll), columnar report batches
+//     (POST /v1/reports with Content-Type ContentTypeColumnar, one LCB1
+//     batch feeding Stream.IngestColumnar), round control (POST
+//     /v1/round/close), history and status reads, and a live
 //     Server-Sent-Events round stream (GET /v1/stream) behind a hub with
 //     per-client buffered channels and an explicit slow-subscriber drop
 //     policy. GET / serves a minimal embedded dashboard.
 //
 //   - Raw TCP: length-prefixed frames (see frame.go) carrying the
 //     existing wire formats — longitudinal.AppendRegistration for
-//     enrollment, Report.AppendBinary payloads for reports — decoded in a
+//     enrollment, LCB1 columnar batches for reports — decoded in a
 //     per-connection read loop whose steady state reuses one frame buffer
-//     and tallies through Stream.Ingest at zero allocations per report,
-//     so the PR 3/5 zero-alloc property survives the socket boundary.
+//     and one decode target and tallies through Stream.IngestColumnar at
+//     zero allocations per report, so the zero-alloc tally property
+//     survives the socket boundary.
 //
 // Estimates are bit-identical to ingesting the same payloads in-process:
 // the daemon adds transport, never arithmetic (pinned by the parity tests
@@ -43,9 +44,9 @@ type Config struct {
 	// Stream is the collection service to front. Required; the caller
 	// retains ownership (the daemon never calls Stream.Close).
 	Stream *server.Stream
-	// MaxFrameBytes bounds a TCP frame body and an HTTP batch record's
-	// payload; oversize frames kill the connection before any allocation
-	// sized by the hostile length. Default 1 MiB.
+	// MaxFrameBytes bounds a TCP frame body; oversize frames kill the
+	// connection before any allocation sized by the hostile length.
+	// Default 1 MiB.
 	MaxFrameBytes int
 	// MaxBatchBytes bounds an HTTP /v1/reports body. Default 8 MiB.
 	MaxBatchBytes int
@@ -561,6 +562,15 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// HTTP listener timeouts. A client gets httpReadHeaderTimeout to send its
+// request headers, so a slowloris client trickling a header cannot hold a
+// connection and a goroutine forever, and a keep-alive connection waits at
+// most httpIdleTimeout for its next request. There is deliberately no
+// WriteTimeout: it would cut the long-lived SSE round stream.
+var httpReadHeaderTimeout = 10 * time.Second
+
+const httpIdleTimeout = 2 * time.Minute
+
 // ServeHTTP serves the daemon's HTTP API on l until l or the server
 // closes. It blocks; run it in a goroutine.
 func (s *Server) ServeHTTP(l net.Listener) error {
@@ -568,7 +578,11 @@ func (s *Server) ServeHTTP(l net.Listener) error {
 		l.Close()
 		return fmt.Errorf("netserver: server closed")
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
 	s.mu.Lock()
 	s.httpSrvs = append(s.httpSrvs, srv)
 	s.mu.Unlock()

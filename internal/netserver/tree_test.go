@@ -352,8 +352,15 @@ func TestDrainInFlightBatch(t *testing.T) {
 	// The in-flight batch: written while the drain is waiting. The read
 	// deadline Drain set must not cut it off — the loop consumes and acks
 	// buffered frames until the client hangs up.
-	batch := AppendReportFrame(nil, 9, cl.AppendReport(nil, 3))
-	batch = AppendFlushFrame(batch)
+	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(9, cl.AppendReport(nil, 3)); err != nil {
+		t.Fatal(err)
+	}
+	batch := AppendFlushFrame(AppendColumnarFrame(nil, w.AppendTo(nil)))
 	if _, err := conn.Write(batch); err != nil {
 		t.Fatal(err)
 	}

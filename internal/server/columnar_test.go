@@ -35,8 +35,7 @@ func columnarSpec(t *testing.T, family string, k int) longitudinal.ProtocolSpec 
 // TestIngestColumnarParity pins the tentpole contract: for every
 // registered family and shard count, a columnar batch (enrolling through
 // its registration columns in round 0) tallies bit-identically to Enroll
-// + per-report IngestBatch, on both the ColumnarTallier fast path and the
-// WithDecoder compatibility path.
+// + per-report IngestBatch.
 func TestIngestColumnarParity(t *testing.T) {
 	const k, n, rounds = 24, 160, 3
 	for _, family := range longitudinal.Families() {
@@ -58,14 +57,6 @@ func TestIngestColumnarParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				colS, err := NewStream(proto, WithShards(shards))
-				if err != nil {
-					t.Fatal(err)
-				}
-				dec, err := ForProtocol(proto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compat, err := NewStream(proto, WithShards(shards), WithDecoder(dec))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,27 +102,21 @@ func TestIngestColumnarParity(t *testing.T) {
 					if err := ref.IngestBatch(ids, payloads); err != nil {
 						t.Fatalf("round %d IngestBatch: %v", round, err)
 					}
-					enc := w.AppendTo(nil)
-					for name, s := range map[string]*Stream{"columnar": colS, "compat": compat} {
-						if err := longitudinal.DecodeColumnar(enc, &batch); err != nil {
-							t.Fatalf("round %d decode: %v", round, err)
-						}
-						if err := s.IngestColumnar(&batch); err != nil {
-							t.Fatalf("round %d IngestColumnar (%s): %v", round, name, err)
-						}
+					if err := longitudinal.DecodeColumnar(w.AppendTo(nil), &batch); err != nil {
+						t.Fatalf("round %d decode: %v", round, err)
+					}
+					if err := colS.IngestColumnar(&batch); err != nil {
+						t.Fatalf("round %d IngestColumnar: %v", round, err)
 					}
 
-					want := ref.CloseRound()
-					for name, s := range map[string]*Stream{"columnar": colS, "compat": compat} {
-						got := s.CloseRound()
-						if got.Reports != want.Reports {
-							t.Fatalf("round %d (%s): %d reports, want %d", round, name, got.Reports, want.Reports)
-						}
-						for v := range want.Raw {
-							if got.Raw[v] != want.Raw[v] || got.Estimates[v] != want.Estimates[v] {
-								t.Fatalf("round %d (%s): estimate %d = %v/%v, want %v/%v",
-									round, name, v, got.Raw[v], got.Estimates[v], want.Raw[v], want.Estimates[v])
-							}
+					want, got := ref.CloseRound(), colS.CloseRound()
+					if got.Reports != want.Reports {
+						t.Fatalf("round %d: %d reports, want %d", round, got.Reports, want.Reports)
+					}
+					for v := range want.Raw {
+						if got.Raw[v] != want.Raw[v] || got.Estimates[v] != want.Estimates[v] {
+							t.Fatalf("round %d: estimate %d = %v/%v, want %v/%v",
+								round, v, got.Raw[v], got.Estimates[v], want.Raw[v], want.Estimates[v])
 						}
 					}
 				}

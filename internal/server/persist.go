@@ -128,7 +128,7 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 		for ui := range src.Users {
 			u := &src.Users[ui]
 			sh := s.shardOf(u.ID)
-			if err := sh.enroll(u.ID, u.Reg); err != nil {
+			if err := s.enroll(sh, u.ID, u.Reg); err != nil {
 				return nil, fmt.Errorf("server: restoring user %d: %w", u.ID, err)
 			}
 			if u.Reported {

@@ -19,6 +19,17 @@ func registrationOf(cl longitudinal.Client) Registration {
 	}
 }
 
+// newTestStream returns the default Stream for proto, failing the test on
+// a construction error.
+func newTestStream(t *testing.T, proto longitudinal.Protocol) *Stream {
+	t.Helper()
+	s, err := NewStream(proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestCollectionMatchesDirectAggregation(t *testing.T) {
 	// Byte path (Enroll/Ingest/CloseRound) vs direct Aggregator: identical
 	// estimates for every protocol family.
@@ -37,11 +48,7 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 		protos["dBitFlipPM"] = p
 	}
 	for name, proto := range protos {
-		dec, err := ForProtocol(proto)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		col := New(proto, dec)
+		col := newTestStream(t, proto)
 		direct := proto.NewAggregator()
 
 		clients := make([]longitudinal.Client, n)
@@ -72,7 +79,7 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 					t.Fatalf("%s: ingest: %v", name, err)
 				}
 			}
-			wire := col.CloseRound()
+			wire := col.CloseRound().Raw
 			want := direct.EndRound()
 			for v := range want {
 				if math.Abs(wire[v]-want[v]) > 1e-15 {
@@ -89,8 +96,7 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 
 func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 	proto, _ := core.NewBinary(10, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := newTestStream(t, proto)
 	cl := proto.NewClient(1).(*core.Client)
 	payload := cl.ReportValue(3).AppendBinary(nil)
 
@@ -114,8 +120,7 @@ func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 
 func TestCollectionEnrollmentConflicts(t *testing.T) {
 	proto, _ := core.NewBinary(10, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := newTestStream(t, proto)
 	if err := col.Enroll(0, Registration{HashSeed: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +137,7 @@ func TestCollectionEnrollmentSampledBucketConflicts(t *testing.T) {
 	// dBitFlipPM user re-enrolling with different buckets of the same
 	// length was silently accepted — corrupting support counts.
 	proto, _ := longitudinal.NewDBitFlipPM(20, 10, 3, 2)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := newTestStream(t, proto)
 	if err := col.Enroll(0, Registration{Sampled: []int{1, 4, 7}}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +156,7 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 	// Regression: CloseRound and Round used to alias the internal history
 	// slice, so a caller mutating the result corrupted published rounds.
 	proto, _ := core.NewBinary(12, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := newTestStream(t, proto)
 	cl := proto.NewClient(3).(*core.Client)
 	if err := col.Enroll(0, Registration{HashSeed: cl.HashSeed()}); err != nil {
 		t.Fatal(err)
@@ -161,15 +164,16 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 	if err := col.Ingest(0, cl.ReportValue(5).AppendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
-	closed := col.CloseRound()
+	closed := col.CloseRound().Raw
 	want := append([]float64(nil), closed...)
 	for i := range closed {
 		closed[i] = math.Inf(1) // caller scribbles on the returned slice
 	}
-	got, err := col.Round(0)
+	res, err := col.Round(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Raw
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("round history corrupted by caller mutation: est[%d] = %v, want %v", v, got[v], want[v])
@@ -178,10 +182,11 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 	for i := range got {
 		got[i] = -1 // scribbling on Round's result must not stick either
 	}
-	again, err := col.Round(0)
+	res, err = col.Round(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	again := res.Raw
 	for v := range want {
 		if again[v] != want[v] {
 			t.Fatalf("round history corrupted via Round aliasing: est[%d] = %v, want %v", v, again[v], want[v])
@@ -191,8 +196,7 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 
 func TestCollectionRejectsMalformedPayloads(t *testing.T) {
 	proto, _ := longitudinal.NewRAPPOR(64, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := newTestStream(t, proto)
 	if err := col.Enroll(0, Registration{}); err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +211,7 @@ func TestCollectionRejectsMalformedPayloads(t *testing.T) {
 
 func TestCollectionRoundAccess(t *testing.T) {
 	proto, _ := longitudinal.NewLGRR(6, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := newTestStream(t, proto)
 	if _, err := col.Round(0); err == nil {
 		t.Error("unpublished round accessible")
 	}
@@ -225,8 +228,7 @@ func TestCollectionConcurrentIngest(t *testing.T) {
 	// The service is documented thread-safe: hammer it from goroutines.
 	const k, n = 16, 400
 	proto, _ := core.NewBinary(k, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := newTestStream(t, proto)
 	payloads := make([][]byte, n)
 	for u := 0; u < n; u++ {
 		cl := proto.NewClient(uint64(u)).(*core.Client)
@@ -251,18 +253,12 @@ func TestCollectionConcurrentIngest(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	est := col.CloseRound()
+	est := col.CloseRound().Raw
 	sum := 0.0
 	for _, e := range est {
 		sum += e
 	}
 	if math.Abs(sum-1) > 0.5 {
 		t.Errorf("estimates sum %v after concurrent ingest", sum)
-	}
-}
-
-func TestForProtocolUnknownType(t *testing.T) {
-	if _, err := ForProtocol(nil); err == nil {
-		t.Error("nil protocol accepted")
 	}
 }

@@ -19,8 +19,8 @@ import (
 // longitudinal protocol. It subsumes the former Cohort/Collection pair:
 //
 //   - Wire path: users Enroll once with registration metadata, then stream
-//     raw payload bytes through Ingest (one report) or IngestBatch (decode
-//     outside the shard locks, one lock acquisition per shard per batch).
+//     raw payload bytes through Ingest (one report), IngestBatch or
+//     IngestColumnar (one lock acquisition per shard per batch).
 //   - Simulation path: WithCohort attaches in-process clients and Collect
 //     drives a complete round from raw values.
 //
@@ -38,13 +38,10 @@ import (
 // degrades to a single shard.
 type Stream struct {
 	proto longitudinal.Protocol
-	// tallier is the zero-allocation ingestion path: payload bits tally
-	// directly into the shard aggregator with no Report materialized. It
-	// is resolved from the protocol (longitudinal.TallyProtocol) unless
-	// WithDecoder overrides ingestion; decoder is the compatibility path
-	// and may be nil when the protocol supplies only a tallier.
+	// tallier is the one ingestion path: it validates registrations at
+	// enrollment and tallies payload bits directly into the shard
+	// aggregator with no Report materialized.
 	tallier longitudinal.WireTallier
-	decoder Decoder
 
 	// specHash fingerprints the stream's protocol configuration
 	// (longitudinal.SpecHashOf); columnar batches carry the producer's
@@ -58,8 +55,8 @@ type Stream struct {
 	merge  longitudinal.MergeableAggregator // nil when single-shard
 	shards []*streamShard
 
-	// scratch pools IngestBatch's per-shard index lists and phase buffers
-	// so steady-state batches reuse memory across calls.
+	// scratch pools the tally loop's per-shard index lists so
+	// steady-state batches reuse memory across calls.
 	scratch sync.Pool
 
 	pp      postprocess.Method
@@ -103,16 +100,10 @@ type streamShard struct {
 	tallied  int
 }
 
-// batchScratch is IngestBatch's reusable working memory: the per-shard
-// index lists of the partition phase plus the decode-path phase buffers.
+// batchScratch is the tally loop's reusable working memory: the
+// per-shard index lists of the partition phase.
 type batchScratch struct {
 	perShard [][]int
-	regs     []Registration
-	ok       []bool
-	reps     []longitudinal.Report
-	// cells re-frames a columnar payload column as per-report slices for
-	// the IngestBatch compatibility path.
-	cells [][]byte
 }
 
 // RoundResult is one published collection round.
@@ -150,7 +141,6 @@ type Option func(*streamConfig)
 type streamConfig struct {
 	shards    int
 	shardsSet bool
-	decoder   Decoder
 	pp        postprocess.Method
 	hh        *heavyhitter.Config
 	roundCap  int
@@ -165,13 +155,6 @@ type streamConfig struct {
 // rejected at construction.
 func WithShards(shards int) Option {
 	return func(c *streamConfig) { c.shards = shards; c.shardsSet = true }
-}
-
-// WithDecoder overrides payload decoding. Without it the decoder is
-// resolved from the protocol (WireProtocol, then the registry); use it to
-// drive a stream with a custom wire format.
-func WithDecoder(dec Decoder) Option {
-	return func(c *streamConfig) { c.decoder = dec }
 }
 
 // WithPostProcess selects the server-side estimate transform applied to
@@ -213,7 +196,8 @@ func WithCohort(n int, seed uint64) Option {
 	return func(c *streamConfig) { c.cohortN = n; c.cohortSet = true; c.seed = seed }
 }
 
-// NewStream returns a collection service for the protocol.
+// NewStream returns a collection service for the protocol, which must
+// implement longitudinal.TallyProtocol.
 func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	cfg := streamConfig{roundCap: 16}
 	for _, o := range opts {
@@ -234,28 +218,14 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	if cfg.cohortSet && cfg.cohortN < 1 {
 		return nil, fmt.Errorf("server: cohort needs at least one user, got %d", cfg.cohortN)
 	}
-	var tallier longitudinal.WireTallier
-	if cfg.decoder == nil {
-		// Tally-direct is the default ingestion path; Decoder is resolved
-		// alongside it as the compatibility path. A protocol providing
-		// only a tallier (no WireDecoder, no registry entry) is complete.
-		if tp, ok := proto.(longitudinal.TallyProtocol); ok {
-			tallier = tp.WireTallier()
-		}
-		dec, err := ForProtocol(proto)
-		if err != nil {
-			if tallier == nil {
-				return nil, err
-			}
-			dec = nil
-		}
-		cfg.decoder = dec
+	tp, ok := proto.(longitudinal.TallyProtocol)
+	if !ok {
+		return nil, fmt.Errorf("server: %T does not implement longitudinal.TallyProtocol", proto)
 	}
 
 	s := &Stream{
 		proto:    proto,
-		tallier:  tallier,
-		decoder:  cfg.decoder,
+		tallier:  tp.WireTallier(),
 		specHash: longitudinal.SpecHashOf(proto),
 		pp:       cfg.pp,
 		roundCap: cfg.roundCap,
@@ -311,13 +281,10 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		// wire ingestion share rounds.
 		target := agg
 		s.collector = longitudinal.NewShardedCollector(target, cfg.cohortN, cfg.shards)
-		if s.tallier != nil {
-			// Route cohort collection through the same allocation-free
-			// generate→tally round trip as wire ingestion (clients emit
-			// AppendReport payloads into per-shard buffers). WithDecoder
-			// pins the boxed Report path here too.
-			s.collector.EnableTallyDirect(s.tallier)
-		}
+		// Route cohort collection through the same allocation-free
+		// generate→tally round trip as wire ingestion (clients emit
+		// AppendReport payloads into per-shard buffers).
+		s.collector.EnableTallyDirect(s.tallier)
 	}
 	return s, nil
 }
@@ -361,10 +328,13 @@ func (s *Stream) checkWireID(userID int) error {
 	return nil
 }
 
-// Enroll registers a user's one-time metadata. Re-enrollment with
-// different metadata is rejected: a changed hash function or changed
-// sampled buckets would corrupt the user's support counts. With an
-// attached cohort, wire user IDs must lie outside the cohort's [0..n).
+// Enroll registers a user's one-time metadata. The registration is
+// validated against the protocol (WireTallier.CheckRegistration) before it
+// is stored, so no report can later tally against a malformed one.
+// Re-enrollment with different metadata is rejected: a changed hash
+// function or changed sampled buckets would corrupt the user's support
+// counts. With an attached cohort, wire user IDs must lie outside the
+// cohort's [0..n).
 func (s *Stream) Enroll(userID int, reg Registration) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -374,10 +344,20 @@ func (s *Stream) Enroll(userID int, reg Registration) error {
 	sh := s.shardOf(userID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.enroll(userID, reg)
+	return s.enroll(sh, userID, reg)
 }
 
-func (sh *streamShard) enroll(userID int, reg Registration) error {
+// ErrInvalidRegistration reports enrollment metadata the protocol cannot
+// accept (WireTallier.CheckRegistration), e.g. a dBitFlipPM registration
+// with the wrong number of sampled buckets or a bucket index out of range.
+var ErrInvalidRegistration = errors.New("invalid registration")
+
+// enroll validates reg against the protocol and registers userID on sh,
+// whose lock the caller holds.
+func (s *Stream) enroll(sh *streamShard, userID int, reg Registration) error {
+	if err := s.tallier.CheckRegistration(reg); err != nil {
+		return fmt.Errorf("server: user %d: %w: %w", userID, ErrInvalidRegistration, err)
+	}
 	if slot, ok := sh.slots[userID]; ok {
 		// Sampled buckets compare element-wise: two users with equally
 		// many but different buckets are NOT interchangeable (their
@@ -395,58 +375,25 @@ func (sh *streamShard) enroll(userID int, reg Registration) error {
 	return nil
 }
 
-// Ingest decodes and tallies one user's payload for the current round.
-// Duplicate reports within a round are rejected (they would bias Eq. (3)).
-// With a tally-capable protocol (longitudinal.TallyProtocol — every
-// protocol in this repository) the steady state performs zero allocations
-// per report: one map lookup resolves the user's slot, the duplicate check
-// is a bit test, and the payload tallies in place.
+// Ingest tallies one user's payload for the current round. Duplicate
+// reports within a round are rejected (they would bias Eq. (3)). The
+// steady state performs zero allocations per report: one map lookup
+// resolves the user's slot, the duplicate check is a bit test, and the
+// payload tallies in place.
 //
 //loloha:noalloc
 func (s *Stream) Ingest(userID int, payload []byte) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.checkWireID(userID); err != nil {
-		return err
+	ids, rows := [1]int{userID}, [1][]byte{payload}
+	if errs := s.tally(batchView{ids: ids[:], rows: rows[:]}); len(errs) > 0 {
+		return errs[0]
 	}
-	sh := s.shardOf(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	slot, ok := sh.slots[userID]
-	if !ok {
-		return fmt.Errorf("server: user %d not enrolled", userID)
-	}
-	if sh.reported.Get(slot) {
-		return fmt.Errorf("server: user %d already reported this round", userID)
-	}
-	if s.tallier != nil {
-		if err := s.tallier.TallyWire(sh.agg, userID, payload, sh.regs[slot]); err != nil {
-			return fmt.Errorf("server: user %d payload: %w", userID, err)
-		}
-	} else {
-		// Single-report compatibility path: one payload decodes under one
-		// shard lock; only IngestBatch amortizes decoding outside the locks.
-		//loloha:locksafe one bounded decode per Ingest; batches use IngestBatch phase 2
-		//loloha:alloc-ok boxed Decoder compatibility path materializes a Report
-		rep, err := s.decoder.Decode(payload, sh.regs[slot])
-		if err != nil {
-			return fmt.Errorf("server: user %d payload: %w", userID, err)
-		}
-		//loloha:alloc-ok boxed Aggregator.Add is the compatibility tally
-		sh.agg.Add(userID, rep)
-	}
-	sh.reported.Set(slot, true)
-	sh.tallied++
 	return nil
 }
 
 // IngestBatch tallies a whole batch of payloads, payloads[i] belonging to
-// userIDs[i], with one shard-lock acquisition per shard per phase rather
-// than one per report. With a tally-capable protocol the batch tallies in
-// place in a single pass; with a Decoder, decoding (the expensive
-// per-report work) runs outside the shard locks. Either way the working
-// memory — per-shard index lists and phase buffers — comes from a pool,
-// so steady-state batches allocate nothing (see BenchmarkIngestPath).
+// userIDs[i], with one shard-lock acquisition per shard rather than one
+// per report. The working memory comes from a pool, so steady-state
+// batches allocate nothing (see BenchmarkIngestPath).
 //
 // The batch is not transactional: every enrolled, non-duplicate,
 // well-formed report is tallied, and the returned error joins one error
@@ -459,134 +406,7 @@ func (s *Stream) IngestBatch(userIDs []int, payloads [][]byte) error {
 	if len(userIDs) != len(payloads) {
 		return fmt.Errorf("server: batch has %d user IDs for %d payloads", len(userIDs), len(payloads))
 	}
-	if len(userIDs) == 0 {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	sc := s.scratch.Get().(*batchScratch)
-	defer s.putScratch(sc)
-
-	var errs []error
-	// Partition the batch by shard so each phase takes one lock per shard.
-	perShard := sc.perShard
-	for i := range perShard {
-		perShard[i] = perShard[i][:0]
-	}
-	for i, u := range userIDs {
-		if err := s.checkWireID(u); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		si := s.shardIndex(u)
-		perShard[si] = append(perShard[si], i)
-	}
-
-	// Tally-direct: enrollment lookup, duplicate check and in-place
-	// tally under one lock acquisition per shard. A user repeated
-	// within the batch is rejected exactly like a repeat across
-	// Ingest calls. This early return IS the steady state, so noalloc
-	// checks it despite the terminating shape.
-	//loloha:steady
-	if s.tallier != nil {
-		for si, idxs := range perShard {
-			if len(idxs) == 0 {
-				continue
-			}
-			sh := s.shards[si]
-			sh.mu.Lock()
-			for _, i := range idxs {
-				u := userIDs[i]
-				slot, found := sh.slots[u]
-				if !found {
-					errs = append(errs, fmt.Errorf("server: user %d not enrolled", u))
-					continue
-				}
-				if sh.reported.Get(slot) {
-					errs = append(errs, fmt.Errorf("server: user %d already reported this round", u))
-					continue
-				}
-				if err := s.tallier.TallyWire(sh.agg, u, payloads[i], sh.regs[slot]); err != nil {
-					errs = append(errs, fmt.Errorf("server: user %d payload: %w", u, err))
-					continue
-				}
-				sh.reported.Set(slot, true)
-				sh.tallied++
-			}
-			sh.mu.Unlock()
-		}
-		return errors.Join(errs...)
-	}
-
-	// Decoder path. Phase 1: snapshot registrations under the shard locks.
-	regs := growScratch(sc.regs, len(userIDs))
-	sc.regs = regs
-	ok := growScratch(sc.ok, len(userIDs))
-	sc.ok = ok
-	clear(ok)
-	for si, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			slot, found := sh.slots[userIDs[i]]
-			if !found {
-				errs = append(errs, fmt.Errorf("server: user %d not enrolled", userIDs[i]))
-				continue
-			}
-			regs[i] = sh.regs[slot]
-			ok[i] = true
-		}
-		sh.mu.Unlock()
-	}
-
-	// Phase 2: decode with no locks held — the expensive per-report work.
-	reps := growScratch(sc.reps, len(userIDs))
-	sc.reps = reps
-	for i := range userIDs {
-		if !ok[i] {
-			continue
-		}
-		//loloha:alloc-ok boxed Decoder compatibility path materializes Reports
-		rep, err := s.decoder.Decode(payloads[i], regs[i])
-		if err != nil {
-			ok[i] = false
-			errs = append(errs, fmt.Errorf("server: user %d payload: %w", userIDs[i], err))
-			continue
-		}
-		reps[i] = rep
-	}
-
-	// Phase 3: tally, one lock acquisition per shard for the whole batch.
-	// The duplicate check runs here so a user repeated within the batch is
-	// rejected exactly like a repeat across Ingest calls.
-	for si, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			if !ok[i] {
-				continue
-			}
-			u := userIDs[i]
-			slot := sh.slots[u]
-			if sh.reported.Get(slot) {
-				errs = append(errs, fmt.Errorf("server: user %d already reported this round", u))
-				continue
-			}
-			//loloha:alloc-ok boxed Aggregator.Add is the compatibility tally
-			sh.agg.Add(u, reps[i])
-			sh.reported.Set(slot, true)
-			sh.tallied++
-		}
-		sh.mu.Unlock()
-	}
-	return errors.Join(errs...)
+	return errors.Join(s.tally(batchView{ids: userIDs, rows: payloads})...)
 }
 
 // ErrColumnarMismatch reports a columnar batch built for a different
@@ -596,15 +416,14 @@ func (s *Stream) IngestBatch(userIDs []int, payloads [][]byte) error {
 var ErrColumnarMismatch = errors.New("columnar batch does not match the stream's protocol")
 
 // IngestColumnar tallies one decoded columnar batch (see
-// longitudinal.DecodeColumnar). With a columnar-capable tallier
-// (longitudinal.ColumnarTallier — every tallier in this repository) the
-// packed payload column tallies cell by cell with the length validation
-// hoisted out of the loop, one shard-lock acquisition per shard per
-// batch, and zero steady-state allocations. A batch carrying registration
-// columns enrolls each user before tallying (idempotent for already
-// enrolled users; a conflicting re-enrollment is reported but the report
-// still tallies under the original registration, exactly as a separate
-// enroll-then-report sequence would behave).
+// longitudinal.DecodeColumnar): the packed payload column tallies cell by
+// cell, one shard-lock acquisition per shard per batch, with zero
+// steady-state allocations. A batch carrying registration columns enrolls
+// each user before tallying (idempotent for already enrolled users; a
+// conflicting re-enrollment is reported but the report still tallies
+// under the original registration, exactly as a separate
+// enroll-then-report sequence would behave; an invalid registration of a
+// new user rejects that row).
 //
 // The spec hash and payload stride must match the stream's protocol;
 // otherwise the whole batch is rejected with ErrColumnarMismatch.
@@ -617,34 +436,56 @@ func (s *Stream) IngestColumnar(batch *longitudinal.ColumnarBatch) error {
 		return fmt.Errorf("server: batch spec hash %#016x, stream has %#016x: %w",
 			batch.SpecHash, s.specHash, ErrColumnarMismatch)
 	}
-	n := batch.Count()
-	if n == 0 {
+	if stride := s.tallier.PayloadStride(); batch.Count() > 0 && batch.Stride != stride {
+		return fmt.Errorf("server: batch payload stride %d, protocol takes %d: %w",
+			batch.Stride, stride, ErrColumnarMismatch)
+	}
+	return errors.Join(s.tally(batchView{ids: batch.IDs, col: batch})...)
+}
+
+// batchView is the one shape the tally loop reads. Ingest and IngestBatch
+// fill ids and rows; IngestColumnar points col at the decoded batch, whose
+// packed payload column and optional registration columns are read in
+// place.
+type batchView struct {
+	ids  []int
+	rows [][]byte
+	col  *longitudinal.ColumnarBatch
+}
+
+// payload returns report i's payload bytes.
+//
+//loloha:noalloc
+func (v batchView) payload(i int) []byte {
+	if v.col != nil {
+		return v.col.Payload(i)
+	}
+	return v.rows[i]
+}
+
+// tally is the ingestion loop behind Ingest, IngestBatch and
+// IngestColumnar: partition the reports by shard, then tally each shard's
+// reports under one acquisition of its lock. It returns one error per
+// rejected report. A user repeated within the batch is rejected exactly
+// like a repeat across calls.
+//
+//loloha:noalloc
+func (s *Stream) tally(v batchView) []error {
+	if len(v.ids) == 0 {
 		return nil
 	}
-	ct, columnar := s.tallier.(longitudinal.ColumnarTallier)
-	if !columnar {
-		// Compatibility path: a WithDecoder override or a tallier without
-		// the columnar contract re-frames the column and rides IngestBatch.
-		return s.ingestColumnarCompat(batch)
-	}
-	if batch.Stride != ct.PayloadStride() {
-		return fmt.Errorf("server: batch payload stride %d, protocol takes %d: %w",
-			batch.Stride, ct.PayloadStride(), ErrColumnarMismatch)
-	}
-
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
 	sc := s.scratch.Get().(*batchScratch)
-	defer s.putScratch(sc)
+	defer s.scratch.Put(sc)
 
 	var errs []error
-	// Partition by shard so the tally loop takes one lock per shard.
 	perShard := sc.perShard
 	for i := range perShard {
 		perShard[i] = perShard[i][:0]
 	}
-	for i, u := range batch.IDs {
+	for i, u := range v.ids {
 		if err := s.checkWireID(u); err != nil {
 			errs = append(errs, err)
 			continue
@@ -652,103 +493,57 @@ func (s *Stream) IngestColumnar(batch *longitudinal.ColumnarBatch) error {
 		si := s.shardIndex(u)
 		perShard[si] = append(perShard[si], i)
 	}
-
-	hasRegs := batch.HasRegistrations()
 	for si, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
+		if len(idxs) > 0 {
+			errs = s.tallyShard(s.shards[si], v, idxs, errs)
 		}
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			u := batch.IDs[i]
-			if hasRegs {
-				// Cold path: the batch enrolls its users inline. The sampled
-				// view aliases the batch's pooled bucket column, so the
-				// retained registration clones it.
-				reg := batch.Registration(i)
-				//loloha:alloc-ok cold enrollment clones the batch's sampled-bucket view
-				reg.Sampled = slices.Clone(reg.Sampled)
-				//loloha:alloc-ok cold enrollment extends the shard's slot tables
-				if err := sh.enroll(u, reg); err != nil {
-					errs = append(errs, err)
+	}
+	return errs
+}
+
+// tallyShard tallies the reports idxs of v, all belonging to sh, under
+// one acquisition of sh's lock, appending one error per rejected report.
+//
+//loloha:noalloc
+func (s *Stream) tallyShard(sh *streamShard, v batchView, idxs []int, errs []error) []error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	tallier := s.tallier
+	enroll := v.col != nil && v.col.HasRegistrations()
+	for _, i := range idxs {
+		u := v.ids[i]
+		if enroll {
+			// Cold path: the batch enrolls its users inline. The sampled
+			// view aliases the batch's pooled bucket column, so the
+			// retained registration clones it.
+			reg := v.col.Registration(i)
+			//loloha:alloc-ok cold enrollment clones the batch's sampled-bucket view
+			reg.Sampled = slices.Clone(reg.Sampled)
+			//loloha:alloc-ok cold enrollment extends the shard's slot tables
+			if err := s.enroll(sh, u, reg); err != nil {
+				errs = append(errs, err)
+				if _, enrolled := sh.slots[u]; !enrolled {
+					continue // one rejection per row
 				}
 			}
-			slot, found := sh.slots[u]
-			if !found {
-				errs = append(errs, fmt.Errorf("server: user %d not enrolled", u))
-				continue
-			}
-			if sh.reported.Get(slot) {
-				errs = append(errs, fmt.Errorf("server: user %d already reported this round", u))
-				continue
-			}
-			if err := ct.TallyCell(sh.agg, u, batch.Payload(i), sh.regs[slot]); err != nil {
-				errs = append(errs, fmt.Errorf("server: user %d payload: %w", u, err))
-				continue
-			}
-			sh.reported.Set(slot, true)
-			sh.tallied++
 		}
-		sh.mu.Unlock()
-	}
-	return errors.Join(errs...)
-}
-
-// ingestColumnarCompat routes a columnar batch through the per-report
-// IngestBatch machinery for streams without a columnar tallier (decoder
-// override, or an external tallier without the columnar contract).
-// Enrollment runs first without the stream lock held — IngestBatch takes
-// its own — so the two phases cannot deadlock against a waiting writer.
-func (s *Stream) ingestColumnarCompat(batch *longitudinal.ColumnarBatch) error {
-	var errs []error
-	if batch.HasRegistrations() {
-		for i, u := range batch.IDs {
-			if s.checkWireID(u) != nil {
-				continue // IngestBatch reports the cohort-ID rejection once
-			}
-			reg := batch.Registration(i)
-			reg.Sampled = slices.Clone(reg.Sampled)
-			if err := s.Enroll(u, reg); err != nil {
-				errs = append(errs, err)
-			}
+		slot, found := sh.slots[u]
+		if !found {
+			errs = append(errs, fmt.Errorf("server: user %d not enrolled", u))
+			continue
 		}
+		if sh.reported.Get(slot) {
+			errs = append(errs, fmt.Errorf("server: user %d already reported this round", u))
+			continue
+		}
+		if err := tallier.TallyWire(sh.agg, u, v.payload(i), sh.regs[slot]); err != nil {
+			errs = append(errs, fmt.Errorf("server: user %d payload: %w", u, err))
+			continue
+		}
+		sh.reported.Set(slot, true)
+		sh.tallied++
 	}
-	sc := s.scratch.Get().(*batchScratch)
-	cells := growScratch(sc.cells, batch.Count())
-	sc.cells = cells
-	for i := range cells {
-		cells[i] = batch.Payload(i)
-	}
-	err := s.IngestBatch(batch.IDs, cells)
-	s.putScratch(sc)
-	if err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
-// growScratch returns s resized to n elements, reusing its capacity when
-// possible. Contents are unspecified; callers overwrite or clear.
-//
-//loloha:noalloc
-func growScratch[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// putScratch returns batch working memory to the pool, dropping references
-// to decoded reports and registration snapshots so pooled buffers never
-// pin payload-derived data between batches.
-//
-//loloha:noalloc
-func (s *Stream) putScratch(sc *batchScratch) {
-	clear(sc.reps)
-	clear(sc.regs)
-	clear(sc.cells)
-	s.scratch.Put(sc)
+	return errs
 }
 
 // ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import (
 func ExportColumnar(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64, dir string) ([]string, error) {
 	stride, ok := longitudinal.ColumnarStrideOf(proto)
 	if !ok {
-		return nil, fmt.Errorf("simulation: %s has no columnar tallier", proto.Name())
+		return nil, fmt.Errorf("simulation: %s has no wire tallier", proto.Name())
 	}
 	specHash := longitudinal.SpecHashOf(proto)
 	n, tau := ds.N(), ds.Tau()

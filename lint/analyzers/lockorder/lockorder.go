@@ -1,10 +1,6 @@
-// Package lockorder enforces the server's lock discipline (the PR 2/3
-// decode-outside-lock design) inside packages whose import path ends in
-// internal/server or internal/netserver:
+// Package lockorder enforces the server's lock discipline inside packages
+// whose import path ends in internal/server or internal/netserver:
 //
-//   - No Decoder.Decode call while a sync.Mutex (shard lock) or an
-//     exclusively held sync.RWMutex is held. Decoding under the shared
-//     stream lock is the IngestBatch phase-2 design and is allowed.
 //   - No channel send or receive while any lock is held, unless the send
 //     is occupancy-guarded in the same block (`if len(ch) == cap(ch)
 //     { continue }` before it) or marked //loloha:locksafe. close() never
@@ -74,15 +70,6 @@ func (ls lockSet) clone() lockSet {
 func (ls lockSet) anyMutex() (string, bool) {
 	for k, v := range ls {
 		if v == mutexHeld {
-			return k, true
-		}
-	}
-	return "", false
-}
-
-func (ls lockSet) anyExclusive() (string, bool) {
-	for k, v := range ls {
-		if v == mutexHeld || v == rwExcl {
 			return k, true
 		}
 	}
@@ -375,18 +362,8 @@ func (c *checker) checkCall(call *ast.CallExpr, held lockSet) {
 		}
 		return
 	}
-	switch fn.Name() {
-	case "Decode":
-		if c.ix.At(call, "locksafe") {
-			return
-		}
-		if lk, bad := held.anyExclusive(); bad {
-			c.pass.Reportf(call.Pos(), "Decoder.Decode while holding %s exclusively; decode outside the lock (IngestBatch phase 2) or mark //loloha:locksafe", lk)
-		}
-	case "Subscribe":
-		if !c.ix.At(call, "locksafe") {
-			c.pass.Reportf(call.Pos(), "Subscribe while holding %s can deliver under the lock", holdList(held))
-		}
+	if fn.Name() == "Subscribe" && !c.ix.At(call, "locksafe") {
+		c.pass.Reportf(call.Pos(), "Subscribe while holding %s can deliver under the lock", holdList(held))
 	}
 }
 

@@ -3,13 +3,8 @@ package server
 
 import "sync"
 
-type decoder interface {
-	Decode(p []byte) (int, error)
-}
-
 type stream struct {
 	mu   sync.RWMutex
-	dec  decoder
 	subs []chan int
 	cb   func(int)
 }
@@ -18,36 +13,18 @@ type shard struct {
 	mu sync.Mutex
 }
 
-func (s *stream) decodeUnderShardLock(sh *shard, p []byte) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.dec.Decode(p) // want "Decoder.Decode while holding sh.mu exclusively"
-}
-
-func (s *stream) decodeUnderRLock(p []byte) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.dec.Decode(p) // ok: shared stream lock (the IngestBatch phase-2 design)
-}
-
-func (s *stream) decodeOutside(sh *shard, p []byte) {
-	sh.mu.Lock()
-	sh.mu.Unlock()
-	s.dec.Decode(p) // ok: lock already released
-}
-
-func (s *stream) decodeMarkedSafe(p []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dec.Decode(p) //loloha:locksafe construction-time decode, nothing concurrent yet
-}
-
 func (s *stream) sendUnderLock(v int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sub := range s.subs {
 		sub <- v // want "channel send on sub while holding s.mu"
 	}
+}
+
+func (s *stream) sendMarkedSafe(v int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.subs[0] <- v //loloha:locksafe buffered by construction and drained before every lock
 }
 
 func (s *stream) guardedSend(v int) {

@@ -138,18 +138,17 @@ var trustTable = []trustRule{
 	// Contract interfaces of the longitudinal engine: implementations are
 	// required (by this analyzer, in their own packages) to be noalloc.
 	{"internal/longitudinal", "WireTallier", "TallyWire"},
+	{"internal/longitudinal", "WireTallier", "PayloadStride"},
+	{"internal/longitudinal", "WireTallier", "CheckRegistration"},
 	{"internal/longitudinal", "AppendReporter", "AppendReport"},
 	{"internal/longitudinal", "AppendReporter", "WireRegistration"},
 	// Columnar batch surface: the decoder reuses the batch's columns (the
-	// payload column aliases the source) and the accessors slice them;
-	// ColumnarTallier implementations carry their own annotations.
+	// payload column aliases the source) and the accessors slice them.
 	{"internal/longitudinal", "", "DecodeColumnar"},
 	{"internal/longitudinal", "ColumnarBatch", "Count"},
 	{"internal/longitudinal", "ColumnarBatch", "HasRegistrations"},
 	{"internal/longitudinal", "ColumnarBatch", "Payload"},
 	{"internal/longitudinal", "ColumnarBatch", "Registration"},
-	{"internal/longitudinal", "ColumnarTallier", "PayloadStride"},
-	{"internal/longitudinal", "ColumnarTallier", "TallyCell"},
 	// core's annotated surface, for the server package.
 	{"internal/core", "Aggregator", "AddReport"},
 	{"internal/core", "Client", "AppendReport"},

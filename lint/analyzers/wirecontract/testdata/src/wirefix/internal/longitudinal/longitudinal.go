@@ -11,11 +11,9 @@ type SpecProtocol interface {
 	Spec() ProtocolSpec
 }
 
-type WireTallier interface{ TallyWire(payload []byte) error }
-
-type ColumnarTallier interface {
-	WireTallier
+type WireTallier interface {
 	PayloadStride() int
+	TallyWire(payload []byte) error
 }
 
 type TallyProtocol interface{ WireTallier() WireTallier }
@@ -37,9 +35,6 @@ type FamilyInfo struct {
 
 func RegisterFamily(name string, info FamilyInfo) {}
 
-func RegisterWireDecoder(name string, mk func() int) {}
-
-// goodTallier supports both the row and the columnar tally paths.
 type goodTallier struct{}
 
 func (goodTallier) TallyWire(payload []byte) error { return nil }
@@ -70,62 +65,23 @@ var (
 	_ SpecProtocol    = (*good)(nil)
 	_ TallyProtocol   = (*good)(nil)
 	_ AppendReporter  = (*goodClient)(nil)
-	_ ColumnarTallier = goodTallier{}
 	_ SnapshotTallier = (*goodAgg)(nil)
 )
 
-// missing implements the fast path but forgot its assertions. Its tallier
-// is the already-reported goodTallier, so only the protocol assertions are
-// flagged.
+// missing implements the wire path but forgot its assertions.
 type missing struct{}
 
 func (*missing) K() int                   { return 2 }
 func (*missing) Spec() ProtocolSpec       { return ProtocolSpec{Name: "missing"} }
 func (*missing) WireTallier() WireTallier { return goodTallier{} }
 
-// boxedProto implements only the boxed minimum.
+// boxedProto has no tallier: a Stream cannot ingest it.
 type boxedProto struct{}
 
 func (*boxedProto) K() int             { return 2 }
 func (*boxedProto) Spec() ProtocolSpec { return ProtocolSpec{Name: "boxed"} }
 
 var _ SpecProtocol = (*boxedProto)(nil)
-
-// rowTallier handles single reports only: no PayloadStride, so columnar
-// batches for this family re-frame per report.
-type rowTallier struct{}
-
-func (rowTallier) TallyWire(payload []byte) error { return nil }
-
-// rowOnly is asserted for the protocol interfaces but its tallier never
-// grew a columnar path.
-type rowOnly struct{}
-
-func (*rowOnly) K() int                   { return 2 }
-func (*rowOnly) Spec() ProtocolSpec       { return ProtocolSpec{Name: "rowOnly"} }
-func (*rowOnly) WireTallier() WireTallier { return rowTallier{} }
-
-var (
-	_ SpecProtocol  = (*rowOnly)(nil)
-	_ TallyProtocol = (*rowOnly)(nil)
-)
-
-// colTallier implements the columnar path but forgot its assertion.
-type colTallier struct{}
-
-func (colTallier) TallyWire(payload []byte) error { return nil }
-func (colTallier) PayloadStride() int             { return 1 }
-
-type colMissing struct{}
-
-func (*colMissing) K() int                   { return 2 }
-func (*colMissing) Spec() ProtocolSpec       { return ProtocolSpec{Name: "colMissing"} }
-func (*colMissing) WireTallier() WireTallier { return colTallier{} }
-
-var (
-	_ SpecProtocol  = (*colMissing)(nil)
-	_ TallyProtocol = (*colMissing)(nil)
-)
 
 // snapNoAgg tallies but cannot export its counts: the family cannot take
 // part in snapshots or collector-tree merges.
@@ -175,19 +131,10 @@ func init() {
 	RegisterFamily("boxed", FamilyInfo{ // want "does not implement TallyProtocol"
 		Build: func(s ProtocolSpec) (Protocol, error) { return &boxedProto{}, nil },
 	})
-	RegisterFamily("rowOnly", FamilyInfo{ // want "does not implement ColumnarTallier"
-		Build: func(s ProtocolSpec) (Protocol, error) { return &rowOnly{}, nil },
-	})
-	RegisterFamily("colMissing", FamilyInfo{ // want "var _ ColumnarTallier"
-		Build: func(s ProtocolSpec) (Protocol, error) { return &colMissing{}, nil },
-	})
 	RegisterFamily("snapNo", FamilyInfo{ // want "does not implement SnapshotTallier"
 		Build: func(s ProtocolSpec) (Protocol, error) { return &snapNo{}, nil },
 	})
 	RegisterFamily("snapMissing", FamilyInfo{ // want "var _ SnapshotTallier"
 		Build: func(s ProtocolSpec) (Protocol, error) { return &snapMissing{}, nil },
 	})
-	//loloha:boxed decoder-compat shim kept for the legacy wire format
-	RegisterWireDecoder("legacy", func() int { return 0 })
-	RegisterWireDecoder("loud", func() int { return 0 }) // want "decoder-only family"
 }

@@ -1,32 +1,22 @@
-// Package wirecontract keeps protocol families on the fast wire path. A
-// family registered with longitudinal.RegisterFamily whose protocol or
-// client type silently stops implementing the fast-path interfaces
-// (TallyProtocol for tally-direct ingestion, AppendReporter for
-// allocation-free report generation) degrades to the boxed Report path
-// with no compile error — the engine still works, just slower. The
-// analyzer makes that degradation loud:
+// Package wirecontract keeps protocol families on the wire path. A family
+// registered with longitudinal.RegisterFamily whose protocol, client or
+// aggregator type silently stops implementing a wire interface fails only
+// at run time — a Stream refuses a protocol without TallyProtocol, a
+// client without AppendReporter falls back to the boxed Report path — with
+// no compile error. The analyzer makes that loud, with no escape hatch:
 //
 //   - Every concrete protocol type returned by a family's Build hook must
 //     carry a package-level compile-time assertion
 //     `var _ longitudinal.SpecProtocol = (*T)(nil)` — and must implement
 //     the interface in the first place.
-//   - If the protocol implements TallyProtocol, the same assertion is
-//     required for it; if it does not, the registration is flagged as
-//     falling back to the boxed path unless marked //loloha:boxed <why>.
+//   - The protocol must implement TallyProtocol, the only ingestion path,
+//     and carry the same assertion for it.
 //   - The concrete client type returned by the protocol's NewClient must
-//     implement AppendReporter and carry its assertion, with the same
-//     //loloha:boxed escape.
-//   - The concrete tallier returned by a TallyProtocol's WireTallier must
-//     implement ColumnarTallier (the decode-free batch fast path) and
-//     carry its assertion; a row-only tallier is flagged unless marked
-//     //loloha:boxed <why>.
-//   - The concrete aggregator returned by a fast-path (TallyProtocol)
-//     family's NewAggregator must implement SnapshotTallier (the
-//     durability contract: snapshot/restore and collector-tree merges
-//     serialize tally state through it) and carry its assertion; an
-//     aggregator without it is flagged unless marked //loloha:boxed <why>.
-//   - RegisterWireDecoder registers a decoder-only (inherently boxed)
-//     family and always requires the //loloha:boxed marker.
+//     implement AppendReporter and carry its assertion.
+//   - The concrete aggregator returned by the protocol's NewAggregator
+//     must implement SnapshotTallier (the durability contract:
+//     snapshot/restore and collector-tree merges serialize tally state
+//     through it) and carry its assertion.
 //
 // Resolution is intra-package and one level deep: Build/NewClient bodies
 // whose returns have concrete static types (the idiom everywhere in this
@@ -40,13 +30,12 @@ import (
 	"strings"
 
 	"github.com/loloha-ldp/loloha/lint/analysis"
-	"github.com/loloha-ldp/loloha/lint/annot"
 )
 
 // Analyzer is the wirecontract pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecontract",
-	Doc:  "registered families must assert their fast-path interfaces so boxed fallback cannot happen silently",
+	Doc:  "registered families must implement and assert their wire interfaces",
 	Run:  run,
 }
 
@@ -62,7 +51,6 @@ type assertion struct {
 func run(pass *analysis.Pass) error {
 	asserts := collectAssertions(pass)
 	reported := map[string]bool{} // (type, iface) dedup across families
-	ix := annot.NewIndex(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
@@ -80,13 +68,8 @@ func run(pass *analysis.Pass) error {
 			if path != registryPkg && !strings.HasSuffix(path, "/"+registryPkg) {
 				return true
 			}
-			switch fn.Name() {
-			case "RegisterWireDecoder":
-				if !ix.At(call, "boxed") {
-					pass.Reportf(call.Pos(), "RegisterWireDecoder registers a decoder-only family that always takes the boxed Report path; mark //loloha:boxed <why> or register a full family")
-				}
-			case "RegisterFamily":
-				checkFamily(pass, ix, asserts, reported, call, fn.Pkg())
+			if fn.Name() == "RegisterFamily" {
+				checkFamily(pass, asserts, reported, call, fn.Pkg())
 			}
 			return true
 		})
@@ -94,7 +77,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkFamily(pass *analysis.Pass, ix *annot.Index, asserts []assertion, reported map[string]bool, call *ast.CallExpr, registry *types.Package) {
+func checkFamily(pass *analysis.Pass, asserts []assertion, reported map[string]bool, call *ast.CallExpr, registry *types.Package) {
 	if len(call.Args) < 2 {
 		return
 	}
@@ -118,7 +101,6 @@ func checkFamily(pass *analysis.Pass, ix *annot.Index, asserts []assertion, repo
 	specIface := lookupIface(registry, "SpecProtocol")
 	tallyIface := lookupIface(registry, "TallyProtocol")
 	reporterIface := lookupIface(registry, "AppendReporter")
-	columnarIface := lookupIface(registry, "ColumnarTallier")
 	snapIface := lookupIface(registry, "SnapshotTallier")
 
 	for _, proto := range resolveReturns(pass, build) {
@@ -139,39 +121,19 @@ func checkFamily(pass *analysis.Pass, ix *annot.Index, asserts []assertion, repo
 		if tallyIface != nil {
 			switch {
 			case !implements(proto, tallyIface):
-				if !ix.At(call, "boxed") {
-					pass.Reportf(call.Pos(), "%s does not implement TallyProtocol: ingestion falls back to the boxed Decoder path; implement WireTallier or mark //loloha:boxed <why>", proto)
-				}
+				pass.Reportf(call.Pos(), "%s does not implement TallyProtocol: a Stream cannot ingest it; implement WireTallier", proto)
 			case !asserted(asserts, tallyIface, proto):
 				pass.Reportf(call.Pos(), "missing compile-time assertion: var _ TallyProtocol = (%s)(nil)", proto)
 			}
 		}
-		if columnarIface != nil && tallyIface != nil && implements(proto, tallyIface) {
-			if tallier := resolveMethodReturn(pass, proto, "WireTallier"); tallier != nil {
-				tkey := tallier.String() + " columnar"
-				if !reported[tkey] {
-					reported[tkey] = true
-					switch {
-					case !implements(tallier, columnarIface):
-						if !ix.At(call, "boxed") {
-							pass.Reportf(call.Pos(), "tallier %s does not implement ColumnarTallier: columnar batches fall back to per-report re-framing; implement TallyCell or mark //loloha:boxed <why>", tallier)
-						}
-					case !asserted(asserts, columnarIface, tallier):
-						pass.Reportf(call.Pos(), "missing compile-time assertion: var _ ColumnarTallier = %s", zeroValueOf(tallier))
-					}
-				}
-			}
-		}
-		if snapIface != nil && tallyIface != nil && implements(proto, tallyIface) {
+		if snapIface != nil {
 			if agg := resolveMethodReturn(pass, proto, "NewAggregator"); agg != nil {
 				akey := agg.String() + " snapshot"
 				if !reported[akey] {
 					reported[akey] = true
 					switch {
 					case !implements(agg, snapIface):
-						if !ix.At(call, "boxed") {
-							pass.Reportf(call.Pos(), "aggregator %s does not implement SnapshotTallier: this family cannot snapshot/restore or merge across a collector tree; implement ExportTally/ImportTally or mark //loloha:boxed <why>", agg)
-						}
+						pass.Reportf(call.Pos(), "aggregator %s does not implement SnapshotTallier: this family cannot snapshot/restore or merge across a collector tree; implement ExportTally/ImportTally", agg)
 					case !asserted(asserts, snapIface, agg):
 						pass.Reportf(call.Pos(), "missing compile-time assertion: var _ SnapshotTallier = %s", zeroValueOf(agg))
 					}
@@ -192,9 +154,7 @@ func checkFamily(pass *analysis.Pass, ix *annot.Index, asserts []assertion, repo
 		reported[ckey] = true
 		switch {
 		case !implements(client, reporterIface):
-			if !ix.At(call, "boxed") {
-				pass.Reportf(call.Pos(), "client %s does not implement AppendReporter: report generation falls back to the boxed Report path; mark //loloha:boxed <why> if intended", client)
-			}
+			pass.Reportf(call.Pos(), "client %s does not implement AppendReporter: report generation falls back to the boxed Report path", client)
 		case !asserted(asserts, reporterIface, client):
 			pass.Reportf(call.Pos(), "missing compile-time assertion: var _ AppendReporter = (%s)(nil)", client)
 		}

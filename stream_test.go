@@ -1,7 +1,6 @@
 // Tests for the Stream collection service: parity across every ingestion
-// path and shard count, the options surface, round subscriptions, batch
-// ingest, and the open (WireProtocol / registry) decoder resolution that
-// replaced the closed ForProtocol type-switch.
+// path and shard count, the options surface, round subscriptions and
+// batch ingest.
 package loloha_test
 
 import (
@@ -10,6 +9,7 @@ import (
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
+	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
 // registrationFor extracts a client's enrollment metadata the way a
@@ -29,9 +29,8 @@ func registrationFor(t *testing.T, cl loloha.Client) loloha.Registration {
 
 // TestStreamParityAllPathsAllFamilies is the acceptance gate of the API
 // redesign: for every protocol family, estimates from the new Stream —
-// any shard count, batch or per-report ingest — are bit-identical to the
-// legacy Collection path and to direct in-memory aggregation at the same
-// seed.
+// any shard count, per-report, batch or columnar ingest — are
+// bit-identical to direct in-memory aggregation at the same seed.
 func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 	const k, n, rounds = 24, 600, 3
 	protos := map[string]func() (loloha.Protocol, error){
@@ -46,29 +45,31 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := loloha.NewShardedCollection(proto, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
 			streams := map[string]*loloha.Stream{}
 			for _, shards := range []int{1, 8} {
-				for _, batch := range []bool{false, true} {
+				for _, path := range []string{"report", "batch", "columnar"} {
 					s, err := loloha.NewStream(proto, loloha.WithShards(shards))
 					if err != nil {
 						t.Fatal(err)
 					}
-					streams[fmt.Sprintf("shards=%d/batch=%v", shards, batch)] = s
+					streams[fmt.Sprintf("shards=%d/%s", shards, path)] = s
 				}
 			}
 			direct := proto.NewAggregator()
+			stride, ok := loloha.ColumnarStrideOf(proto)
+			if !ok {
+				t.Fatal("no columnar stride")
+			}
+			w, err := loloha.NewColumnarWriter(loloha.SpecHashOf(proto), stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var col loloha.ColumnarBatch
 
 			clients := make([]loloha.Client, n)
 			for u := range clients {
 				clients[u] = proto.NewClient(uint64(u)*2654435761 + 7)
 				reg := registrationFor(t, clients[u])
-				if err := legacy.Enroll(u, reg); err != nil {
-					t.Fatal(err)
-				}
 				for _, s := range streams {
 					if err := s.Enroll(u, reg); err != nil {
 						t.Fatal(err)
@@ -78,25 +79,31 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				userIDs := make([]int, n)
 				payloads := make([][]byte, n)
+				w.Reset()
 				for u, cl := range clients {
 					rep := cl.Report((u + round*5) % k)
 					direct.Add(u, rep)
 					userIDs[u] = u
 					payloads[u] = rep.AppendBinary(nil)
-					if err := legacy.Ingest(u, payloads[u]); err != nil {
+					if err := w.Add(u, payloads[u]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				want := direct.EndRound()
-				if got := legacy.CloseRound(); !equalFloats(got, want) {
-					t.Fatalf("round %d: legacy Collection diverged from direct aggregation", round)
+				if err := loloha.DecodeColumnar(w.AppendTo(nil), &col); err != nil {
+					t.Fatal(err)
 				}
+				want := direct.EndRound()
 				for label, s := range streams {
-					if label == "shards=1/batch=true" || label == "shards=8/batch=true" {
+					switch label {
+					case "shards=1/batch", "shards=8/batch":
 						if err := s.IngestBatch(userIDs, payloads); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-					} else {
+					case "shards=1/columnar", "shards=8/columnar":
+						if err := s.IngestColumnar(&col); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+					default:
 						for u := range userIDs {
 							if err := s.Ingest(u, payloads[u]); err != nil {
 								t.Fatalf("%s: %v", label, err)
@@ -131,19 +138,22 @@ func equalFloats(a, b []float64) bool {
 	return true
 }
 
-// TestStreamCohortMatchesLegacyCohort: the deprecated Cohort shim and a
-// Stream built with WithCohort are the same engine; both must match for
-// every shard count.
+// TestStreamCohortMatchesLegacyCohort: a sharded Stream built with
+// WithCohort matches the serial boxed reference the pre-Stream cohort
+// ran — the same deterministically seeded clients, each round's Report
+// values added one by one to a plain aggregator — in estimates and in the
+// privacy ledger.
 func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 	const k, n, seed = 20, 500, 9
 	proto, err := loloha.NewOLOLOHA(k, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := loloha.NewShardedCohort(proto, n, seed, 1)
-	if err != nil {
-		t.Fatal(err)
+	legacy := make([]loloha.Client, n)
+	for u := range legacy {
+		legacy[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
 	}
+	ref := proto.NewAggregator()
 	stream, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
@@ -156,23 +166,26 @@ func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 		for u := range values {
 			values[u] = (u*3 + round*11) % k
 		}
-		want, err := legacy.Collect(values)
-		if err != nil {
-			t.Fatal(err)
+		for u, cl := range legacy {
+			ref.Add(u, cl.Report(values[u]))
 		}
 		res, err := stream.Collect(values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalFloats(res.Raw, want) {
-			t.Fatalf("round %d: Stream cohort diverged from legacy Cohort", round)
+		if !equalFloats(res.Raw, ref.EndRound()) {
+			t.Fatalf("round %d: Stream cohort diverged from the serial boxed reference", round)
 		}
 		if res.Reports != n {
 			t.Fatalf("round %d: reports=%d, want %d", round, res.Reports, n)
 		}
 	}
-	if legacy.MaxPrivacySpent() != stream.MaxPrivacySpent() {
-		t.Fatalf("privacy ledgers diverged: %v vs %v", legacy.MaxPrivacySpent(), stream.MaxPrivacySpent())
+	worst := 0.0
+	for _, cl := range legacy {
+		worst = max(worst, cl.PrivacySpent())
+	}
+	if worst != stream.MaxPrivacySpent() {
+		t.Fatalf("privacy ledgers diverged: %v vs %v", worst, stream.MaxPrivacySpent())
 	}
 }
 

@@ -1,7 +1,7 @@
-// Tests for tally-direct ingestion: the WireTallier fast path must be
-// bit-identical to the Decoder compatibility path for every protocol
-// family and shard count, and the steady-state wire hot path must not
-// allocate — testing.AllocsPerRun pins Ingest at 0 allocs/report and
+// Tests for tally-direct ingestion: the WireTallier path must be
+// bit-identical to the boxed Client.Report + Aggregator.Add reference for
+// every protocol family and shard count, and the steady-state wire hot
+// path must not allocate — testing.AllocsPerRun pins Ingest at 0 allocs/report and
 // IngestBatch at 0 allocs/batch so regressions fail loudly instead of
 // showing up as GC pressure under production load.
 package loloha_test
@@ -13,9 +13,7 @@ import (
 	loloha "github.com/loloha-ldp/loloha"
 )
 
-// tallyProtocols builds one protocol per family, paired with the decoder
-// that pins a stream to the legacy Decoder path (WithDecoder disables the
-// protocol's tallier).
+// tallyProtocols builds one protocol per family.
 func tallyProtocols(t testing.TB, k int) map[string]loloha.Protocol {
 	t.Helper()
 	protos := map[string]loloha.Protocol{}
@@ -36,44 +34,25 @@ func tallyProtocols(t testing.TB, k int) map[string]loloha.Protocol {
 	return protos
 }
 
-// decoderOf resolves a protocol's wire decoder so tests can force the
-// Decoder path explicitly.
-func decoderOf(t testing.TB, proto loloha.Protocol) loloha.Decoder {
-	t.Helper()
-	wp, ok := proto.(loloha.WireProtocol)
-	if !ok {
-		t.Fatalf("%T does not implement WireProtocol", proto)
-	}
-	return wp.WireDecoder()
-}
-
-// TestTallyDirectMatchesDecoderPath is the acceptance gate of the
-// tally-direct refactor: for every protocol family × shard count, a stream
-// on the default tally path and a stream pinned to the Decoder path via
-// WithDecoder produce bit-identical estimates from identical payloads,
+// TestTallyDirectMatchesDecoderPath is the acceptance gate of tally-direct
+// ingestion: for every protocol family × shard count, a stream fed the
+// wire payloads produces estimates bit-identical to the boxed reference —
+// the same clients' Report values added one by one to a plain aggregator —
 // through both per-report and batch ingestion.
 func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 	const k, n, rounds = 24, 400, 3
 	for name, proto := range tallyProtocols(t, k) {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				tally, err := loloha.NewStream(proto, loloha.WithShards(shards))
+				stream, err := loloha.NewStream(proto, loloha.WithShards(shards))
 				if err != nil {
 					t.Fatal(err)
 				}
-				decode, err := loloha.NewStream(proto, loloha.WithShards(shards),
-					loloha.WithDecoder(decoderOf(t, proto)))
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref := proto.NewAggregator()
 				clients := make([]loloha.Client, n)
 				for u := range clients {
 					clients[u] = proto.NewClient(uint64(u)*0x9E3779B9 + 1)
-					reg := registrationFor(t, clients[u])
-					if err := tally.Enroll(u, reg); err != nil {
-						t.Fatal(err)
-					}
-					if err := decode.Enroll(u, reg); err != nil {
+					if err := stream.Enroll(u, registrationFor(t, clients[u])); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -81,34 +60,30 @@ func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 					userIDs := make([]int, n)
 					payloads := make([][]byte, n)
 					for u, cl := range clients {
+						rep := cl.Report((u + round*7) % k)
+						ref.Add(u, rep)
 						userIDs[u] = u
-						payloads[u] = cl.Report((u + round*7) % k).AppendBinary(nil)
+						payloads[u] = rep.AppendBinary(nil)
 					}
 					// Odd rounds batch, even rounds go report by report, so
-					// both entry points are exercised on both paths.
+					// both entry points are exercised.
 					if round%2 == 1 {
-						if err := tally.IngestBatch(userIDs, payloads); err != nil {
-							t.Fatal(err)
-						}
-						if err := decode.IngestBatch(userIDs, payloads); err != nil {
+						if err := stream.IngestBatch(userIDs, payloads); err != nil {
 							t.Fatal(err)
 						}
 					} else {
 						for u := range userIDs {
-							if err := tally.Ingest(u, payloads[u]); err != nil {
-								t.Fatal(err)
-							}
-							if err := decode.Ingest(u, payloads[u]); err != nil {
+							if err := stream.Ingest(u, payloads[u]); err != nil {
 								t.Fatal(err)
 							}
 						}
 					}
-					got, want := tally.CloseRound(), decode.CloseRound()
-					if got.Reports != n || want.Reports != n {
-						t.Fatalf("round %d: reports %d vs %d, want %d", round, got.Reports, want.Reports, n)
+					got, want := stream.CloseRound(), ref.EndRound()
+					if got.Reports != n {
+						t.Fatalf("round %d: reports %d, want %d", round, got.Reports, n)
 					}
-					if !equalFloats(got.Raw, want.Raw) {
-						t.Fatalf("round %d: tally-direct estimates diverged from Decoder path", round)
+					if !equalFloats(got.Raw, want) {
+						t.Fatalf("round %d: tally-direct estimates diverged from the boxed reference", round)
 					}
 				}
 			})
@@ -116,43 +91,41 @@ func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 	}
 }
 
-// TestTallyDirectRejectsWhatDecoderRejects: malformed payloads —
-// truncated, trailing bytes, out-of-range values — are rejected by both
-// paths, and a rejected payload tallies nothing on either.
+// TestTallyDirectRejectsWhatDecoderRejects: malformed payloads — empty,
+// truncated, trailing bytes — are rejected, a rejected payload tallies
+// nothing, and the user's honest report still lands afterwards with
+// estimates bit-identical to the boxed reference of that one report.
 func TestTallyDirectRejectsWhatDecoderRejects(t *testing.T) {
 	const k = 24
 	for name, proto := range tallyProtocols(t, k) {
 		t.Run(name, func(t *testing.T) {
-			tally, err := loloha.NewStream(proto, loloha.WithShards(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decode, err := loloha.NewStream(proto, loloha.WithShards(1),
-				loloha.WithDecoder(decoderOf(t, proto)))
+			stream, err := loloha.NewStream(proto, loloha.WithShards(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cl := proto.NewClient(7)
-			reg := registrationFor(t, cl)
-			for _, s := range []*loloha.Stream{tally, decode} {
-				if err := s.Enroll(0, reg); err != nil {
-					t.Fatal(err)
-				}
+			if err := stream.Enroll(0, registrationFor(t, cl)); err != nil {
+				t.Fatal(err)
 			}
-			good := cl.Report(3).AppendBinary(nil)
+			rep := cl.Report(3)
+			good := rep.AppendBinary(nil)
 			for label, payload := range map[string][]byte{
 				"empty":     {},
 				"truncated": good[:len(good)-1],
 				"trailing":  append(append([]byte{}, good...), 0xAA),
 			} {
-				tallyErr := tally.Ingest(0, payload)
-				decodeErr := decode.Ingest(0, payload)
-				if (tallyErr == nil) != (decodeErr == nil) {
-					t.Fatalf("%s payload: tally err=%v, decoder err=%v", label, tallyErr, decodeErr)
+				if err := stream.Ingest(0, payload); err == nil {
+					t.Fatalf("%s payload accepted", label)
 				}
 			}
-			if got, want := tally.CloseRound(), decode.CloseRound(); got.Reports != want.Reports {
-				t.Fatalf("paths tallied different report counts: %d vs %d", got.Reports, want.Reports)
+			if err := stream.Ingest(0, good); err != nil {
+				t.Fatalf("honest payload after rejections: %v", err)
+			}
+			ref := proto.NewAggregator()
+			ref.Add(0, rep)
+			got := stream.CloseRound()
+			if got.Reports != 1 || !equalFloats(got.Raw, ref.EndRound()) {
+				t.Fatalf("rejected payloads leaked into the tally: %d reports", got.Reports)
 			}
 		})
 	}
@@ -202,10 +175,8 @@ func TestIngestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestIngestBatchScratchReuse: steady-state batches on the tally path
-// reuse pooled working memory — zero allocations per batch — and the
-// Decoder path's pooled phase buffers hold its per-report cost to the
-// decode itself (the materialized Report), not batch bookkeeping.
+// TestIngestBatchScratchReuse: steady-state batches reuse pooled working
+// memory — zero allocations per batch.
 func TestIngestBatchScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
@@ -256,34 +227,6 @@ func TestIngestBatchScratchReuse(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("steady-state IngestBatch allocates %.2f times per batch, want 0", avg)
-		}
-	})
-
-	t.Run("decoder", func(t *testing.T) {
-		stream, err := loloha.NewStream(proto, loloha.WithShards(4),
-			loloha.WithDecoder(decoderOf(t, proto)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, payloads := mkBatches(stream)
-		for b := range ids {
-			if err := stream.IngestBatch(ids[b], payloads[b]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stream.CloseRound()
-		b := 0
-		avg := testing.AllocsPerRun(runs, func() {
-			if err := stream.IngestBatch(ids[b], payloads[b]); err != nil {
-				t.Fatal(err)
-			}
-			b++
-		})
-		// One boxed Report per payload is the decode cost itself; the
-		// pooled scratch must not add batch-proportional allocations on
-		// top of it.
-		if perReport := avg / batchSize; perReport > 1.5 {
-			t.Errorf("decoder-path IngestBatch allocates %.2f times per report, want <= 1.5 (scratch not reused?)", perReport)
 		}
 	})
 }
