@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
@@ -147,6 +148,21 @@ func TestExternalWireProtocolRoundTrip(t *testing.T) {
 func TestExternalProtocolWithoutTallierRejected(t *testing.T) {
 	if _, err := loloha.NewStream(&histBase{k: 10, name: "ext-hist-untallied"}); err == nil {
 		t.Fatal("protocol without a WireTallier accepted")
+	}
+}
+
+// TestExternalCohortWithoutAppendReporterRejected: a cohort collects on
+// the allocation-free AppendReport path, and histProto's client has no
+// AppendReport, so NewStream refuses WithCohort over it — while the same
+// protocol without a cohort is an ordinary wire stream.
+func TestExternalCohortWithoutAppendReporterRejected(t *testing.T) {
+	proto := &histProto{histBase{k: 10, name: "ext-hist"}}
+	_, err := loloha.NewStream(proto, loloha.WithCohort(4, 1))
+	if err == nil || !strings.Contains(err.Error(), "AppendReporter") {
+		t.Fatalf("cohort of clients without AppendReport: err = %v, want an AppendReporter refusal", err)
+	}
+	if _, err := loloha.NewStream(proto); err != nil {
+		t.Fatalf("wire stream over the same protocol: %v", err)
 	}
 }
 

@@ -100,6 +100,15 @@ type MergeableAggregator interface {
 	Merge(other Aggregator)
 }
 
+// MergeCounts folds src's tallies into dst and zeroes src: the shared
+// round-state transfer of every Merge implementation in this repository.
+func MergeCounts(dst, src []int64) {
+	for i, c := range src {
+		dst[i] += c
+		src[i] = 0
+	}
+}
+
 // Protocol binds the two sides together with the protocol's metadata.
 type Protocol interface {
 	Name() string

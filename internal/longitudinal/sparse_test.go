@@ -210,58 +210,6 @@ func TestLGRRReportMatchesAppendReport(t *testing.T) {
 	}
 }
 
-// TestCollectorTallyDirectMatchesAddPath: a collector routed through
-// AppendReport + WireTallier must produce bit-identical estimates to the
-// Report/Add path, per family and shard count — the gate for switching
-// simulation.Replay/RunMSE and Stream.Collect onto the wire fast path.
-func TestCollectorTallyDirectMatchesAddPath(t *testing.T) {
-	const k, n, rounds = 24, 300, 4
-	protos := map[string]Protocol{}
-	if p, err := NewRAPPOR(k, 2, 1); err == nil {
-		protos["RAPPOR"] = p
-	}
-	if p, err := NewLGRR(k, 2, 1); err == nil {
-		protos["L-GRR"] = p
-	}
-	if p, err := NewDBitFlipPM(k, 8, 3, 2); err == nil {
-		protos["dBitFlipPM"] = p
-	}
-	for name, proto := range protos {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				mkClients := func() []Client {
-					cls := make([]Client, n)
-					for u := range cls {
-						cls[u] = proto.NewClient(randsrc.Derive(7, uint64(u)))
-					}
-					return cls
-				}
-				plain := NewShardedCollector(proto.NewAggregator(), n, shards)
-				wired := NewShardedCollector(proto.NewAggregator(), n, shards)
-				wired.EnableTallyDirect(proto.(TallyProtocol).WireTallier())
-				clP, clW := mkClients(), mkClients()
-				values := make([]int, n)
-				for round := 0; round < rounds; round++ {
-					for u := range values {
-						values[u] = (u + round*3) % k
-					}
-					estP, err := plain.Collect(clP, values)
-					if err != nil {
-						t.Fatal(err)
-					}
-					estW, err := wired.Collect(clW, values)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !equalFloats(estP, estW) {
-						t.Fatalf("round %d: tally-direct estimates diverged from Add path", round)
-					}
-				}
-			})
-		}
-	}
-}
-
 func equalFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -57,17 +57,18 @@ const (
 	// protocol error (the producer's encoder is misconfigured) and drops
 	// the connection; per-report rejections only bump counters.
 	FrameColumnar = 0x04
-	// FrameMerge carries one LSS1 snapshot image (persist.Append bytes) of
-	// merged tallies from a collector-tree leaf. Only a root daemon
+	// FrameMerge carries one LME1 merge envelope (persist.AppendEnvelope
+	// bytes) of a collector-tree leaf's round tallies. Only a root daemon
 	// (Config.AcceptMerges) accepts it; elsewhere it is an unknown frame.
-	// A body that fails to decode or whose spec hash disagrees with the
-	// server's protocol drops the connection, exactly like a mismatched
-	// columnar batch: the producer is misconfigured, not the data.
+	// A body that is not a well-formed envelope — a raw LSS1 image
+	// included — or whose spec hash disagrees with the server's protocol
+	// drops the connection, exactly like a mismatched columnar batch: the
+	// producer is misconfigured, not the data.
 	FrameMerge = 0x05
 	// FrameAck is the server's reply to FrameFlush.
 	FrameAck = 0x80
-	// FrameMergeAck is the server's immediate reply to a merge frame whose
-	// body is an LME1 envelope: a per-envelope acknowledgement carrying
+	// FrameMergeAck is the server's immediate reply to a merge frame: a
+	// per-envelope acknowledgement carrying
 	// the envelope's sequence number, the reports merged, and whether the
 	// envelope was deduplicated. Unlike the cumulative flush ack, it names
 	// the exact envelope it confirms, so a leaf that redials (resetting
@@ -137,15 +138,15 @@ func AppendColumnarFrame(dst []byte, batch []byte) []byte {
 	return append(dst, batch...)
 }
 
-// AppendMergeFrame appends a merge frame to dst. snap is an encoded LSS1
-// snapshot image (persist.Append bytes); merged reports are confirmed
-// through the ack's Reports counter like columnar report batches.
+// AppendMergeFrame appends a merge frame to dst. env is an encoded LME1
+// merge envelope (persist.AppendEnvelope bytes); the root confirms it with
+// a FrameMergeAck.
 //
 //loloha:noalloc
-func AppendMergeFrame(dst []byte, snap []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(snap)))
+func AppendMergeFrame(dst []byte, env []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(env)))
 	dst = append(dst, FrameMerge)
-	return append(dst, snap...)
+	return append(dst, env...)
 }
 
 // AppendFlushFrame appends a flush frame to dst.
@@ -327,44 +328,21 @@ func (c *tcpConn) handleColumnar(body []byte) bool {
 	return true
 }
 
-// handleMerge applies one merge frame: decode the LSS1 image and add its
-// tallies into the stream's open round. Returns false on a protocol
-// error — a daemon that is not a root (Config.AcceptMerges unset), a body
-// that fails structural decoding, or a snapshot whose spec hash disagrees
+// handleMerge applies one merge frame — an LME1 merge envelope — and
+// replies with a per-envelope ack: the exactly-once half of the merge
+// path. A duplicate (seq at or below the leaf's applied watermark) is
+// acknowledged without decoding its payload, let alone reapplying it, so
+// a retry storm costs the root one header parse per envelope. Returns
+// false on a protocol error — a daemon that is not a root
+// (Config.AcceptMerges unset), a body that is not a well-formed envelope
+// (a raw LSS1 image included), or a snapshot whose spec hash disagrees
 // with the server's protocol (server.ErrSnapshotMismatch): all mean the
 // sender is misconfigured, which, like framing corruption, is not
-// survivable. Merged reports ride the connection's reports counter, so a
-// leaf confirms delivery through the ordinary flush/ack round trip.
+// survivable.
 func (c *tcpConn) handleMerge(body []byte) bool {
 	if !c.srv.acceptMerges {
 		return false
 	}
-	if persist.IsEnvelope(body) {
-		return c.handleMergeEnvelope(body)
-	}
-	snap, err := persist.Decode(body)
-	if err != nil {
-		c.srv.mergeBad.Add(1)
-		return false
-	}
-	n, err := c.srv.stream.MergeRemote(snap)
-	if err != nil {
-		c.srv.mergeBad.Add(1)
-		return false
-	}
-	c.reports += uint64(n)
-	c.srv.mergeFrames.Add(1)
-	c.srv.mergeReports.Add(uint64(n))
-	return true
-}
-
-// handleMergeEnvelope applies one LME1 merge envelope and replies with a
-// per-envelope ack — the exactly-once half of the merge path. A duplicate
-// (seq at or below the leaf's applied watermark) is acknowledged without
-// decoding its payload, let alone reapplying it, so a retry storm costs
-// the root one header parse per envelope. Malformed envelopes and spec
-// mismatches drop the connection like any other protocol error.
-func (c *tcpConn) handleMergeEnvelope(body []byte) bool {
 	h, err := persist.ParseEnvelopeHeader(body)
 	if err != nil {
 		c.srv.mergeBad.Add(1)

@@ -79,17 +79,24 @@ func FuzzFrameStream(f *testing.F) {
 
 // FuzzMergeFrame drives a collector root's connection loop with an
 // arbitrary merge-frame body. Like the other frame types the body is
-// attacker-controlled bytes reaching persist.Decode and MergeRemote
-// before any authentication: serve must terminate without panicking, and
-// a rejected body must drop the connection without tallying anything.
+// attacker-controlled bytes reaching persist.ParseEnvelopeHeader,
+// persist.DecodeEnvelope and MergeEnvelope before any authentication:
+// serve must terminate without panicking, and a rejected body must drop
+// the connection without tallying anything.
 func FuzzMergeFrame(f *testing.F) {
 	proto, err := core.NewBinary(16, 2, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Seeds: a matching tally-only snapshot (the leaf wire form), a
-	// full-state snapshot with a user table, a mismatched-spec image, and
-	// structured garbage.
+	other, err := core.NewBinary(32, 2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Seeds: an envelope around a matching tally-only snapshot (the leaf
+	// wire form), one around a full-state snapshot with a user table, a
+	// mismatched-spec envelope, a truncated envelope, an envelope around
+	// garbage, the raw LSS1 image the root refuses, and structured
+	// garbage.
 	leaf, err := server.NewStream(proto, server.WithShards(1))
 	if err != nil {
 		f.Fatal(err)
@@ -114,10 +121,33 @@ func FuzzMergeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	leaf.Close()
+	otherLeaf, err := server.NewStream(other, server.WithShards(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, otherSnap, err := otherLeaf.CloseRoundExport()
+	if err != nil {
+		f.Fatal(err)
+	}
+	otherLeaf.Close()
+	envelope := func(seq uint64, image []byte) []byte {
+		env, err := persist.AppendEnvelopeImage(nil, "leaf", 0, seq, image)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return env
+	}
+	mismatched, err := persist.AppendEnvelope(nil, &persist.Envelope{Leaf: "leaf", Seq: 3, Snap: otherSnap})
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := envelope(1, tallyOnly)
+	f.Add(good)
+	f.Add(envelope(2, full.Bytes()))
+	f.Add(mismatched)
+	f.Add(good[:len(good)/2])
+	f.Add(envelope(4, []byte("LSS1 but not really")))
 	f.Add(tallyOnly)
-	f.Add(full.Bytes())
-	f.Add(tallyOnly[:len(tallyOnly)/2])
-	f.Add([]byte("LSS1 but not really"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -23,7 +23,8 @@ import (
 //	POST /v1/enroll       {"user_id":7,"hash_seed":9,"sampled":[1,2]}
 //	POST /v1/reports      LCB1 body (Content-Type ContentTypeColumnar) → {"received":N,"rejected":M}
 //	                      any other Content-Type → 415
-//	POST /v1/merge        binary LME1 envelope or LSS1 snapshot body → {"merged":N} (collector roots only)
+//	POST /v1/merge        LME1 envelope body (Content-Type ContentTypeEnvelope) → {"seq":S,"merged":N,"duplicate":D}
+//	                      any other Content-Type → 415 (collector roots only)
 //	POST /v1/round/close  → RoundResult of the closed round
 //	GET  /v1/rounds/{t}   → RoundResult of round t
 //	GET  /v1/status       → daemon + stream counters and the protocol spec
@@ -306,44 +307,24 @@ func countJoined(err error) int {
 }
 
 // handleMergeHTTP is the HTTP transport for collector-tree merges: the
-// body is one LME1 merge envelope (exactly-once, per-envelope ack with
-// dedup) or, legacy, one raw LSS1 snapshot image (cumulative, no dedup).
-// Registered only when AcceptMerges is set.
+// body is one LME1 merge envelope, applied with the same exactly-once
+// semantics as the TCP path, and the answer is the per-envelope ack as
+// JSON: {"seq":..,"merged":..,"duplicate":..}. A body that is not a
+// well-formed envelope (a raw LSS1 image included) or whose spec hash
+// disagrees is answered 400, any Content-Type other than
+// ContentTypeEnvelope 415. Registered only when AcceptMerges is set.
 func (s *Server) handleMergeHTTP(w http.ResponseWriter, r *http.Request) {
+	if ct := r.Header.Get("Content-Type"); ct != ContentTypeEnvelope {
+		writeError(w, http.StatusUnsupportedMediaType,
+			fmt.Errorf("netserver: merge body Content-Type %q, want %q", ct, ContentTypeEnvelope))
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.maxBatch)))
 	if err != nil {
 		s.mergeBad.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("netserver: reading merge body: %w", err))
 		return
 	}
-	if persist.IsEnvelope(body) {
-		s.handleMergeEnvelopeHTTP(w, body)
-		return
-	}
-	snap, err := persist.Decode(body)
-	if err != nil {
-		s.mergeBad.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	n, err := s.stream.MergeRemote(snap)
-	if err != nil {
-		// Spec mismatch or a mid-decode state error: like ErrColumnarMismatch
-		// on the report path, the whole payload is for another protocol
-		// configuration, so nothing was applied.
-		s.mergeBad.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mergeFrames.Add(1)
-	s.mergeReports.Add(uint64(n))
-	writeJSON(w, http.StatusOK, map[string]int{"merged": n})
-}
-
-// handleMergeEnvelopeHTTP applies one LME1 envelope with the same
-// exactly-once semantics as the TCP path and answers the per-envelope
-// ack as JSON: {"seq":..,"merged":..,"duplicate":..}.
-func (s *Server) handleMergeEnvelopeHTTP(w http.ResponseWriter, body []byte) {
 	h, err := persist.ParseEnvelopeHeader(body)
 	if err != nil {
 		s.mergeBad.Add(1)

@@ -15,9 +15,9 @@ import (
 	"github.com/loloha-ldp/loloha/internal/persist"
 )
 
-// ContentTypeEnvelope selects the LME1 merge-envelope body format on
-// POST /v1/merge; a raw LSS1 body (any other content type) still takes
-// the legacy cumulative path.
+// ContentTypeEnvelope is the required Content-Type of POST /v1/merge: the
+// body is one LME1 merge envelope (persist.AppendEnvelope bytes). Any
+// other content type is answered 415.
 const ContentTypeEnvelope = "application/x-loloha-envelope"
 
 // MergeSender ships encoded LME1 merge envelopes to a collector-tree

@@ -8,7 +8,6 @@ package netserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -141,6 +140,8 @@ func TestCollectorTreeParityHTTP(t *testing.T) {
 	rootSrv := newTestServer(t, rootStream, Config{AcceptMerges: true})
 	ts := httptest.NewServer(rootSrv.Handler())
 	defer ts.Close()
+	up := NewHTTPMergeClient(ts.URL, 5*time.Second)
+	defer up.Close()
 
 	leafStreams := make([]*server.Stream, nleaves)
 	for i := range leafStreams {
@@ -160,30 +161,22 @@ func TestCollectorTreeParityHTTP(t *testing.T) {
 		}
 		refRes := ref.CloseRound()
 		merged := 0
-		for _, leaf := range leafStreams {
-			_, snap, err := leaf.CloseRoundExport()
+		for i, leaf := range leafStreams {
+			res, snap, err := leaf.CloseRoundExport()
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, err := persist.Append(nil, snap)
+			env, err := persist.AppendEnvelope(nil, &persist.Envelope{
+				Leaf: fmt.Sprintf("leaf%d", i), Round: res.Round, Seq: uint64(round) + 1, Snap: snap,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := http.Post(ts.URL+"/v1/merge", "application/octet-stream", bytes.NewReader(enc))
-			if err != nil {
-				t.Fatal(err)
+			got, dup, err := up.Ship(env)
+			if err != nil || dup {
+				t.Fatalf("round %d leaf %d ship: dup=%v err=%v", round, i, dup, err)
 			}
-			var got struct {
-				Merged int `json:"merged"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("round %d merge POST: status %d", round, resp.StatusCode)
-			}
-			merged += got.Merged
+			merged += got
 		}
 		if merged != n {
 			t.Fatalf("round %d: root confirmed %d merged reports, want %d", round, merged, n)
@@ -196,9 +189,30 @@ func TestCollectorTreeParityHTTP(t *testing.T) {
 	}
 }
 
+// exportOneReport returns the round export of a stream of proto that
+// tallied one report.
+func exportOneReport(t *testing.T, proto longitudinal.Protocol) *persist.Snapshot {
+	t.Helper()
+	leaf := newTestStream(t, proto)
+	cl := proto.NewClient(1).(longitudinal.AppendReporter)
+	if err := leaf.Enroll(1, cl.WireRegistration()); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaf.Ingest(1, cl.AppendReport(nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	_, snap, err := leaf.CloseRoundExport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // TestMergeRejections pins the gate: merges are off by default (TCP frame
-// drops the connection, HTTP route does not exist), and a root rejects a
-// snapshot built for another protocol without applying anything.
+// drops the connection, HTTP route does not exist), and a root applies
+// nothing from an envelope built for another protocol, an envelope whose
+// image is garbage, a raw LSS1 image (the retired merge body) or, over
+// HTTP, a body of any Content-Type but ContentTypeEnvelope.
 func TestMergeRejections(t *testing.T) {
 	proto, err := parityFamilies[0].build()
 	if err != nil {
@@ -208,19 +222,17 @@ func TestMergeRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherLeaf := newTestStream(t, other)
-	cl := other.NewClient(1).(longitudinal.AppendReporter)
-	if err := otherLeaf.Enroll(1, cl.WireRegistration()); err != nil {
-		t.Fatal(err)
-	}
-	if err := otherLeaf.Ingest(1, cl.AppendReport(nil, 0)); err != nil {
-		t.Fatal(err)
-	}
-	_, mismatched, err := otherLeaf.CloseRoundExport()
+	envMismatched, err := persist.AppendEnvelope(nil, &persist.Envelope{
+		Leaf: "rogue", Round: 0, Seq: 1, Snap: exportOneReport(t, other),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	encMismatched, err := persist.Append(nil, mismatched)
+	envGarbage, err := persist.AppendEnvelopeImage(nil, "rogue", 0, 2, []byte("not a snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawLSS1, err := persist.Append(nil, exportOneReport(t, proto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +240,7 @@ func TestMergeRejections(t *testing.T) {
 	t.Run("disabled-by-default", func(t *testing.T) {
 		srv := newTestServer(t, newTestStream(t, proto), Config{})
 		conn := dialTCPServer(t, srv)
-		if _, err := conn.Write(AppendMergeFrame(nil, encMismatched)); err != nil {
+		if _, err := conn.Write(AppendMergeFrame(nil, envMismatched)); err != nil {
 			t.Fatal(err)
 		}
 		conn.Write(AppendFlushFrame(nil))
@@ -239,7 +251,7 @@ func TestMergeRejections(t *testing.T) {
 
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		resp, err := http.Post(ts.URL+"/v1/merge", "application/octet-stream", bytes.NewReader(encMismatched))
+		resp, err := http.Post(ts.URL+"/v1/merge", ContentTypeEnvelope, bytes.NewReader(envMismatched))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,46 +261,66 @@ func TestMergeRejections(t *testing.T) {
 		}
 	})
 
-	t.Run("mismatched-spec", func(t *testing.T) {
+	// newRoot starts a collector root on TCP and HTTP.
+	newRoot := func(t *testing.T) (*server.Stream, *Server, string, *httptest.Server) {
 		rootStream := newTestStream(t, proto)
 		srv := newTestServer(t, rootStream, Config{AcceptMerges: true})
-		addr := serveTCPAddr(t, srv)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return rootStream, srv, serveTCPAddr(t, srv), ts
+	}
+	postMerge := func(t *testing.T, ts *httptest.Server, contentType string, body []byte, want int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/merge", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("merge POST (%s): status %d, want %d", contentType, resp.StatusCode, want)
+		}
+	}
+	nothingApplied := func(t *testing.T, rootStream *server.Stream, srv *Server, rejected uint64) {
+		t.Helper()
+		if got := srv.mergeBad.Load(); got != rejected {
+			t.Fatalf("rejected-merge counter = %d, want %d", got, rejected)
+		}
+		if srv.mergeReports.Load() != 0 || rootStream.Pending() != 0 {
+			t.Fatal("rejected merges must not tally anything")
+		}
+	}
+
+	t.Run("mismatched-spec", func(t *testing.T) {
+		rootStream, srv, addr, ts := newRoot(t)
 		up, err := DialMerge(addr, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer up.Close()
-		badEnv, err := persist.AppendEnvelope(nil, &persist.Envelope{
-			Leaf: "rogue", Round: 0, Seq: 1, Snap: mismatched,
-		})
+		if _, _, err := up.Ship(envMismatched); err == nil {
+			t.Fatal("Ship of a mismatched snapshot succeeded, want dropped connection")
+		}
+		postMerge(t, ts, ContentTypeEnvelope, envMismatched, http.StatusBadRequest)
+		nothingApplied(t, rootStream, srv, 2)
+	})
+
+	t.Run("refused-bodies", func(t *testing.T) {
+		rootStream, srv, addr, ts := newRoot(t)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := up.Ship(badEnv); err == nil {
-			t.Fatal("Ship of a mismatched snapshot succeeded, want dropped connection")
+		defer conn.Close()
+		conn.Write(AppendMergeFrame(nil, rawLSS1))
+		conn.Write(AppendFlushFrame(nil))
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := ReadAck(conn); err == nil {
+			t.Fatal("raw LSS1 merge frame answered with an ack, want dropped connection")
 		}
-
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		for name, body := range map[string][]byte{
-			"mismatched": encMismatched,
-			"garbage":    []byte("not a snapshot"),
-		} {
-			resp, err := http.Post(ts.URL+"/v1/merge", "application/octet-stream", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s merge: status %d, want 400", name, resp.StatusCode)
-			}
-		}
-		if srv.mergeBad.Load() < 3 {
-			t.Fatalf("rejected-merge counter = %d, want at least 3", srv.mergeBad.Load())
-		}
-		if srv.mergeReports.Load() != 0 || rootStream.Pending() != 0 {
-			t.Fatal("rejected merges must not tally anything")
-		}
+		postMerge(t, ts, ContentTypeEnvelope, envGarbage, http.StatusBadRequest)
+		postMerge(t, ts, ContentTypeEnvelope, rawLSS1, http.StatusBadRequest)
+		postMerge(t, ts, "application/octet-stream", rawLSS1, http.StatusUnsupportedMediaType)
+		nothingApplied(t, rootStream, srv, 3) // the 415 rejects before reading the body
 	})
 }
 

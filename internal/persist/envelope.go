@@ -117,15 +117,6 @@ func AppendEnvelopeImage(dst []byte, leaf string, round int, seq uint64, image [
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
-// IsEnvelope reports whether src begins with the envelope magic — the
-// merge endpoints use it to route a body between the envelope path and
-// the legacy raw-snapshot path.
-//
-//loloha:noalloc
-func IsEnvelope(src []byte) bool {
-	return len(src) >= 4 && string(src[:4]) == EnvelopeMagic
-}
-
 // ParseEnvelopeHeader validates an envelope's framing (magic, lengths,
 // CRC) and returns a zero-copy view of its identity and inner image.
 // The view aliases src. The inner LSS1 image is NOT decoded — the root

@@ -33,9 +33,6 @@ func encodeEnvelope(t *testing.T, env *Envelope) []byte {
 func TestEnvelopeRoundTrip(t *testing.T) {
 	env := sampleEnvelope()
 	enc := encodeEnvelope(t, env)
-	if !IsEnvelope(enc) {
-		t.Fatal("IsEnvelope = false on a fresh envelope")
-	}
 	dec, err := DecodeEnvelope(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -159,16 +156,13 @@ func TestParseEnvelopeHeaderSkipsInnerDecode(t *testing.T) {
 }
 
 // TestEnvelopeReaderZeroAlloc is the runtime side of the //loloha:noalloc
-// annotations on IsEnvelope and ParseEnvelopeHeader: the dedup fast path
+// annotation on ParseEnvelopeHeader: the dedup fast path
 // must inspect an envelope's identity without allocating (the warm-up run
 // absorbs crc32's one-time table build).
 func TestEnvelopeReaderZeroAlloc(t *testing.T) {
 	enc := encodeEnvelope(t, sampleEnvelope())
 	var hdr EnvelopeHeader
 	allocs := testing.AllocsPerRun(100, func() {
-		if !IsEnvelope(enc) {
-			t.Fatal("IsEnvelope = false")
-		}
 		h, err := ParseEnvelopeHeader(enc)
 		if err != nil {
 			t.Fatal(err)

@@ -8,9 +8,10 @@
 //     so the interrupted round ends bit-identically to an uninterrupted
 //     one (tallies are integer counts, so nothing is approximated).
 //   - The collector tree: a leaf daemon exports its round tallies as a
-//     one-shard, tally-only snapshot and ships it to the root inside a
-//     merge frame (netserver FrameMerge / POST /v1/merge). Integer adds
-//     commute, so the root's estimates match a single-node run exactly.
+//     one-shard, tally-only snapshot, wraps it in an LME1 merge envelope
+//     (envelope.go; the only merge body) and ships it to the root
+//     (netserver FrameMerge / POST /v1/merge). Integer adds commute, so
+//     the root's estimates match a single-node run exactly.
 //
 // Layout (all fixed-width integers little-endian):
 //

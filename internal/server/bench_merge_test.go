@@ -18,10 +18,11 @@ import (
 //     decoded from memory — the per-snapshot cost a daemon pays on its
 //     -snapshot-every timer and at restore.
 //   - leaf-export: one CloseRoundExport plus encoding the tally-only
-//     merge payload — the leaf's per-round overhead beyond a plain
-//     CloseRound.
+//     merge payload as an LME1 envelope — the leaf's per-round overhead
+//     beyond a plain CloseRound.
 //   - merge-round: the root's cost of one collection round fed by K
-//     leaves: decode K merge payloads, MergeRemote each, close the round.
+//     leaves: decode K merge envelopes, MergeEnvelope each, close the
+//     round.
 //
 // Families mirror BENCH_network.json: BiLOLOHA (widest tally vector of
 // the k-domain families) and dBitFlipPM (bucketed, b counts).
@@ -85,14 +86,16 @@ func BenchmarkMergeTree(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Re-arm the round with the seed tallies so every export
 				// carries a realistic count vector.
-				if _, err := leaf.MergeRemote(seed); err != nil {
+				rearm := &persist.Envelope{Leaf: "seed", Seq: uint64(i) + 1, Snap: seed}
+				if _, _, err := leaf.MergeEnvelope(rearm); err != nil {
 					b.Fatal(err)
 				}
-				_, snap, err := leaf.CloseRoundExport()
+				res, snap, err := leaf.CloseRoundExport()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if buf, err = persist.Append(buf[:0], snap); err != nil {
+				env := &persist.Envelope{Leaf: "leaf", Round: res.Round, Seq: uint64(i) + 1, Snap: snap}
+				if buf, err = persist.AppendEnvelope(buf[:0], env); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -109,7 +112,8 @@ func BenchmarkMergeTree(b *testing.B) {
 						b.Fatal(err)
 					}
 					reports += res.Reports
-					if frames[i], err = persist.Append(nil, snap); err != nil {
+					env := &persist.Envelope{Leaf: fmt.Sprintf("leaf%d", i), Round: res.Round, Seq: 1, Snap: snap}
+					if frames[i], err = persist.AppendEnvelope(nil, env); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -129,13 +133,16 @@ func BenchmarkMergeTree(b *testing.B) {
 					}
 					got := 0
 					for _, frame := range frames {
-						snap, err := persist.Decode(frame)
+						env, err := persist.DecodeEnvelope(frame)
 						if err != nil {
 							b.Fatal(err)
 						}
-						n, err := root.MergeRemote(snap)
-						if err != nil {
-							b.Fatal(err)
+						// Each iteration replays the same envelopes; a fresh
+						// sequence number keeps the ledger applying them.
+						env.Seq = uint64(i) + 1
+						n, dup, err := root.MergeEnvelope(env)
+						if err != nil || dup {
+							b.Fatalf("merge: dup=%v err=%v", dup, err)
 						}
 						got += n
 					}

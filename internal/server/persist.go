@@ -14,9 +14,9 @@ import (
 // per-shard (counts, n) integer tallies plus the registration tables, all
 // of which the persist codec serializes exactly — so a snapshot taken
 // mid-round and restored later ends the round bit-identically to an
-// uninterrupted run, and a root stream that MergeRemotes the exported
-// tallies of K leaves estimates bit-identically to a single stream that
-// ingested every report itself.
+// uninterrupted run, and a root stream that applies the exported tallies
+// of K leaves (MergeEnvelope) estimates bit-identically to a single
+// stream that ingested every report itself.
 
 // ErrSnapshotMismatch reports a snapshot produced under a different
 // protocol configuration than the stream's: its spec hash disagrees. The
@@ -150,29 +150,13 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 	return s, nil
 }
 
-// MergeRemote adds a snapshot's tallies into the stream's open round —
-// the root half of the collector tree. Only tallies move: registration
-// sections, if present, stay with the producing leaf (the root never owns
-// a leaf's users). Returns the number of reports merged. A snapshot whose
-// spec hash disagrees with the stream's protocol is rejected whole with
-// ErrSnapshotMismatch, mirroring the columnar batch contract.
-func (s *Stream) MergeRemote(snap *persist.Snapshot) (int, error) {
-	if snap.SpecHash != s.specHash {
-		return 0, fmt.Errorf("server: snapshot spec hash %#016x, stream has %#016x: %w",
-			snap.SpecHash, s.specHash, ErrSnapshotMismatch)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.importTallies(snap)
-}
-
-// importTallies adds snap's tallies into shard 0. Callers hold s.mu (any
-// mode) so the round cannot close mid-merge; the shard lock serializes
-// against concurrent ingestion.
+// importTallies adds snap's tallies into shard 0. Only tallies move:
+// registration sections, if present, stay with the producing leaf (the
+// root never owns a leaf's users). The caller holds s.mu exclusively, so
+// neither the round close nor ingestion can run and the shard lock is not
+// taken.
 func (s *Stream) importTallies(snap *persist.Snapshot) (int, error) {
 	sh := s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	st, err := snapshotTallier(sh.agg)
 	if err != nil {
 		return 0, err
@@ -281,7 +265,8 @@ func (s *Stream) Ledger() []persist.LedgerEntry {
 // additionally returns the round's merged tallies as a one-shard,
 // tally-only snapshot — the leaf half of the collector tree: the leaf
 // publishes its local RoundResult (its partition's estimates) and ships
-// the snapshot to the root, whose MergeRemote recovers the global counts.
+// the snapshot to the root inside an LME1 envelope, whose MergeEnvelope
+// recovers the global counts.
 func (s *Stream) CloseRoundExport() (RoundResult, *persist.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

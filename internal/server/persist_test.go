@@ -223,8 +223,8 @@ func TestRestoreRejections(t *testing.T) {
 
 // TestMergeTreeParity pins the collector-tree contract for every
 // registered family and shard count: K leaves each ingest a disjoint user
-// partition, export their rounds, and a root that MergeRemotes the K
-// snapshots publishes rounds bit-identical to a single stream that
+// partition, export their rounds, and a root that applies the K exports
+// as merge envelopes publishes rounds bit-identical to a single stream that
 // ingested everything — for multiple consecutive rounds, so the leaves'
 // round reset is covered too.
 func TestMergeTreeParity(t *testing.T) {
@@ -292,9 +292,10 @@ func TestMergeTreeParity(t *testing.T) {
 								t.Fatalf("leaf %d published round %d, want %d", i, res.Round, r)
 							}
 							leafReports += res.Reports
-							merged, err := root.MergeRemote(snap)
-							if err != nil {
-								t.Fatalf("root merge of leaf %d: %v", i, err)
+							env := &persist.Envelope{Leaf: fmt.Sprintf("leaf%d", i), Round: res.Round, Seq: uint64(r) + 1, Snap: snap}
+							merged, dup, err := root.MergeEnvelope(env)
+							if err != nil || dup {
+								t.Fatalf("root merge of leaf %d: dup=%v err=%v", i, dup, err)
 							}
 							if merged != res.Reports {
 								t.Fatalf("leaf %d merged %d reports, leaf tallied %d", i, merged, res.Reports)
@@ -309,36 +310,6 @@ func TestMergeTreeParity(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestMergeRemoteMismatch pins whole-snapshot rejection at the root.
-func TestMergeRemoteMismatch(t *testing.T) {
-	protoA, err := core.NewBinary(16, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	protoB, err := core.NewBinary(32, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf, err := NewStream(protoB, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := NewStream(protoA, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, snap, err := leaf.CloseRoundExport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := root.MergeRemote(snap); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
-	}
-	if root.Pending() != 0 {
-		t.Fatalf("%d reports merged from a mismatched snapshot", root.Pending())
 	}
 }
 

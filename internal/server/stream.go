@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -22,7 +23,8 @@ import (
 //     raw payload bytes through Ingest (one report), IngestBatch or
 //     IngestColumnar (one lock acquisition per shard per batch).
 //   - Simulation path: WithCohort attaches in-process clients and Collect
-//     drives a complete round from raw values.
+//     drives a complete round from raw values, reporting and tallying the
+//     cohort on the same shards.
 //
 // Rounds are explicit: reports land in the current round until CloseRound
 // (or Collect), which publishes a RoundResult to the history and to every
@@ -80,9 +82,14 @@ type Stream struct {
 	// that never restored.
 	baseRound int
 
-	// Simulation cohort (nil unless WithCohort).
-	clients   []longitudinal.Client
-	collector *longitudinal.ShardedCollector
+	// Simulation cohort (nil unless WithCohort). Collect splits the users
+	// into the contiguous blocks [cohortBounds[i]..cohortBounds[i+1]),
+	// fixed at construction: block i reports into cohortBufs[i] and
+	// tallies on shards[i]. A user never changes fork, so per-user
+	// aggregator state (LOLOHA's support table) is built once.
+	clients      []longitudinal.AppendReporter
+	cohortBounds []int
+	cohortBufs   [][]byte
 }
 
 // streamShard owns the ingestion state of one stripe of users. Enrollment
@@ -150,9 +157,10 @@ type streamConfig struct {
 }
 
 // WithShards sets the ingestion stripe count and, when a cohort is
-// attached, the collection parallelism. 0 (the default) selects one shard
-// per available CPU; 1 fully serializes the service; negative counts are
-// rejected at construction.
+// attached, the collection parallelism: Collect runs one contiguous user
+// block per shard. 0 (the default) selects one shard per available CPU;
+// 1 fully serializes the service; negative counts are rejected at
+// construction.
 func WithShards(shards int) Option {
 	return func(c *streamConfig) { c.shards = shards; c.shardsSet = true }
 }
@@ -186,12 +194,13 @@ func WithRoundCapacity(n int) Option {
 	return func(c *streamConfig) { c.roundCap = n }
 }
 
-// WithCohort attaches n in-process simulation clients, seeded
-// deterministically from seed, so Collect can drive complete rounds from
-// raw values. The clients own user IDs [0..n): wire enrollment under
-// those IDs is rejected, since it would tally a user twice per round.
-// Production deployments run clients on devices and use the wire path
-// instead.
+// WithCohort attaches n in-process simulation clients, client u seeded
+// randsrc.Derive(seed, u), so Collect can drive complete rounds from raw
+// values. The protocol's clients must implement
+// longitudinal.AppendReporter; NewStream refuses the cohort otherwise.
+// The clients own user IDs [0..n): wire enrollment under those IDs is
+// rejected, since it would tally a user twice per round. Production
+// deployments run clients on devices and use the wire path instead.
 func WithCohort(n int, seed uint64) Option {
 	return func(c *streamConfig) { c.cohortN = n; c.cohortSet = true; c.seed = seed }
 }
@@ -210,7 +219,7 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		return nil, fmt.Errorf("server: negative shard count %d", cfg.shards)
 	}
 	if !cfg.shardsSet || cfg.shards == 0 {
-		cfg.shards = longitudinal.DefaultShards()
+		cfg.shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.roundCap < 1 {
 		return nil, fmt.Errorf("server: round capacity must be at least 1, got %d", cfg.roundCap)
@@ -273,18 +282,21 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	}
 
 	if cfg.cohortSet {
-		s.clients = make([]longitudinal.Client, cfg.cohortN)
+		s.clients = make([]longitudinal.AppendReporter, cfg.cohortN)
 		for u := range s.clients {
-			s.clients[u] = proto.NewClient(randsrc.Derive(cfg.seed, uint64(u)))
+			cl := proto.NewClient(randsrc.Derive(cfg.seed, uint64(u)))
+			ar, ok := cl.(longitudinal.AppendReporter)
+			if !ok {
+				return nil, fmt.Errorf("server: cohort client %T does not implement longitudinal.AppendReporter", cl)
+			}
+			s.clients[u] = ar
 		}
-		// Cohort tallies land in the round's merge target so Collect and
-		// wire ingestion share rounds.
-		target := agg
-		s.collector = longitudinal.NewShardedCollector(target, cfg.cohortN, cfg.shards)
-		// Route cohort collection through the same allocation-free
-		// generate→tally round trip as wire ingestion (clients emit
-		// AppendReport payloads into per-shard buffers).
-		s.collector.EnableTallyDirect(s.tallier)
+		blocks := min(len(s.shards), cfg.cohortN)
+		s.cohortBounds = make([]int, blocks+1)
+		for i := range s.cohortBounds {
+			s.cohortBounds[i] = i * cfg.cohortN / blocks
+		}
+		s.cohortBufs = make([][]byte, blocks)
 	}
 	return s, nil
 }
@@ -553,6 +565,10 @@ func (s *Stream) tallyShard(sh *streamShard, v batchView, idxs []int, errs []err
 // values[u] is client u's current value. Every client reports, the round
 // is closed, and its RoundResult returned — wire reports ingested since
 // the previous round share the same result. Requires WithCohort.
+//
+// Every value is checked against [0, K) before any client reports: on
+// error the round, the tallies and every client's clock and privacy
+// ledger are left untouched.
 func (s *Stream) Collect(values []int) (RoundResult, error) {
 	if s.clients == nil {
 		return RoundResult{}, fmt.Errorf("server: no cohort attached (use WithCohort)")
@@ -560,27 +576,62 @@ func (s *Stream) Collect(values []int) (RoundResult, error) {
 	if len(values) != len(s.clients) {
 		return RoundResult{}, fmt.Errorf("server: got %d values for %d users", len(values), len(s.clients))
 	}
+	k := s.proto.K()
+	for u, v := range values {
+		if v < 0 || v >= k {
+			return RoundResult{}, fmt.Errorf("server: user %d value %d outside [0..%d)", u, v, k)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.collector.Tally(s.clients, values); err != nil {
+	// Block 0 runs on the caller's goroutine, so a serial stream spawns
+	// none.
+	errs := make([]error, len(s.cohortBufs))
+	var wg sync.WaitGroup
+	for i := 1; i < len(errs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.collectBlock(i, values)
+		}()
+	}
+	errs[0] = s.collectBlock(0, values)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return RoundResult{}, err
 	}
 	return s.closeRoundLocked(len(s.clients)), nil
+}
+
+// collectBlock reports cohort block i into its reusable buffer and
+// tallies each payload straight into shard i's aggregator. The caller
+// holds s.mu exclusively, so no ingestion can touch the shard and its
+// lock is not taken — the same barrier closeRoundLocked relies on.
+//
+//loloha:noalloc
+func (s *Stream) collectBlock(i int, values []int) error {
+	agg, buf := s.shards[i].agg, s.cohortBufs[i]
+	for u := s.cohortBounds[i]; u < s.cohortBounds[i+1]; u++ {
+		cl := s.clients[u]
+		buf = cl.AppendReport(buf[:0], values[u])
+		if err := s.tallier.TallyWire(agg, u, buf, cl.WireRegistration()); err != nil {
+			// The stream's own client emitted this payload: a rejection is
+			// a protocol implementation bug, and the round is not rolled
+			// back.
+			return fmt.Errorf("server: cohort user %d: protocol rejected its own report: %w", u, err)
+		}
+	}
+	s.cohortBufs[i] = buf
+	return nil
 }
 
 // CohortSize returns the number of attached simulation clients (0 without
 // WithCohort).
 func (s *Stream) CohortSize() int { return len(s.clients) }
 
-// CohortShards returns the cohort's effective collection parallelism (0
-// without WithCohort). It can be lower than Shards: collection partitions
-// users contiguously and clamps to the cohort size.
-func (s *Stream) CohortShards() int {
-	if s.collector == nil {
-		return 0
-	}
-	return s.collector.Shards()
-}
+// CohortShards returns the number of cohort blocks Collect runs in
+// parallel (0 without WithCohort): min(Shards, cohort size).
+func (s *Stream) CohortShards() int { return len(s.cohortBufs) }
 
 // PrivacySpent returns each attached client's longitudinal privacy loss ε̌
 // so far (nil without WithCohort).

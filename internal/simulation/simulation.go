@@ -24,6 +24,7 @@ import (
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/postprocess"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
+	"github.com/loloha-ldp/loloha/internal/server"
 )
 
 // Spec names a protocol of the experiment grid. It is declarative: Proto is
@@ -141,12 +142,12 @@ type Config struct {
 	Seed uint64
 	// Workers bounds concurrent cells; 0 means GOMAXPROCS.
 	Workers int
-	// Shards is the intra-collection parallelism: each round's client
-	// reports are sharded over this many goroutines with per-shard
-	// aggregator forks (see longitudinal.ShardedCollector). 0 or 1 keeps
-	// rounds serial, which is usually right when the grid itself saturates
-	// the CPUs; estimates are bit-identical either way. Negative counts
-	// are rejected by validate.
+	// Shards is the intra-collection parallelism: the shard count of the
+	// server.Stream each run collects on, whose Collect reports and
+	// tallies one contiguous block of users per shard on its own
+	// goroutine. 0 or 1 keeps rounds serial, which is usually right when
+	// the grid itself saturates the CPUs; estimates are bit-identical
+	// either way. Negative counts are rejected by validate.
 	Shards int
 	// PostProcess transforms each round's estimates before scoring MSE
 	// (extension; the paper's setting is postprocess.None).
@@ -186,8 +187,9 @@ type Point struct {
 	// ε̌_avg for Fig. 4, fully-detected rate for Table 2).
 	Mean, Std float64
 	Runs      int
-	// Err carries a build failure (e.g. infeasible calibration); such
-	// points hold no measurement.
+	// Err carries a build failure (e.g. infeasible calibration) or a
+	// protocol the collection engine refuses; such points hold no
+	// measurement.
 	Err error
 }
 
@@ -207,35 +209,34 @@ func RunMSE(ds *datasets.Dataset, specs []Spec, cfg Config) ([]Point, error) {
 	for t := range truth {
 		truth[t] = ds.TrueFrequencies(t)
 	}
-	return runGrid(ds, specs, cfg, func(proto longitudinal.Protocol, seed uint64) float64 {
+	return runGrid(ds, specs, cfg, func(proto longitudinal.Protocol, seed uint64) (float64, error) {
 		return mseRun(ds, truth, proto, seed, cfg.PostProcess, cfg.Shards)
 	})
 }
 
 // mseRun executes one full τ-round collection and returns MSE_avg.
 func mseRun(ds *datasets.Dataset, truth [][]float64, proto longitudinal.Protocol, seed uint64,
-	pp postprocess.Method, shards int) float64 {
-	n, tau := ds.N(), ds.Tau()
-	clients := make([]longitudinal.Client, n)
-	for u := range clients {
-		clients[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
+	pp postprocess.Method, shards int) (float64, error) {
+	tau := ds.Tau()
+	stream, err := newCohortStream(ds, proto, seed, shards)
+	if err != nil {
+		return 0, err
 	}
-	collector := newCollector(proto, n, shards)
 
 	// Bucket-domain protocols score against folded truth.
 	fold := func(f []float64) []float64 { return f }
-	if d, ok := proto.(*longitudinal.DBitFlipPM); ok && collector.Aggregator().EstimateDomain() != ds.K {
+	if d, ok := proto.(*longitudinal.DBitFlipPM); ok && proto.NewAggregator().EstimateDomain() != ds.K {
 		z := d.Bucketizer()
 		fold = z.FoldFrequencies
 	}
 
 	total := 0.0
 	for t := 0; t < tau; t++ {
-		raw, err := collector.Collect(clients, ds.Round(t))
+		res, err := stream.Collect(ds.Round(t))
 		if err != nil {
-			panic(err) // impossible: clients and rounds share the dataset's n
+			return 0, err
 		}
-		est := postprocess.Apply(pp, raw)
+		est := postprocess.Apply(pp, res.Raw)
 		ft := fold(truth[t])
 		sum := 0.0
 		for v := range est {
@@ -244,21 +245,21 @@ func mseRun(ds *datasets.Dataset, truth [][]float64, proto longitudinal.Protocol
 		}
 		total += sum / float64(len(est))
 	}
-	return total / float64(tau)
+	return total / float64(tau), nil
 }
 
-// newCollector builds the per-run collection engine, routed through the
-// protocol's allocation-free wire fast path (AppendReport + tally-direct)
-// whenever the protocol supports it — every built-in family does. The
-// grid's millions of simulated reports then generate and tally without a
-// bitset, boxed Report or wire-buffer allocation per report; estimates are
-// bit-identical to the Report/Add path.
-func newCollector(proto longitudinal.Protocol, n, shards int) *longitudinal.ShardedCollector {
-	collector := longitudinal.NewShardedCollector(proto.NewAggregator(), n, shards)
-	if tp, ok := proto.(longitudinal.TallyProtocol); ok {
-		collector.EnableTallyDirect(tp.WireTallier())
+// newCohortStream builds the per-run collection engine: a server.Stream
+// with the dataset's n users attached as a cohort, client u seeded
+// randsrc.Derive(seed, u). Its Collect generates and tallies every report
+// on the allocation-free wire path (AppendReport + TallyWire). Config's
+// Shards 0 or 1 means serial, whereas WithShards(0) means one shard per
+// CPU — hence the max.
+func newCohortStream(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64, shards int) (*server.Stream, error) {
+	stream, err := server.NewStream(proto, server.WithShards(max(shards, 1)), server.WithCohort(ds.N(), seed))
+	if err != nil {
+		return nil, fmt.Errorf("simulation: %s: %w", proto.Name(), err)
 	}
-	return collector
+	return stream, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -271,8 +272,8 @@ func RunPrivacyLoss(ds *datasets.Dataset, specs []Spec, cfg Config) ([]Point, er
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return runGrid(ds, specs, cfg, func(proto longitudinal.Protocol, seed uint64) float64 {
-		return privacyLossRun(ds, proto, seed)
+	return runGrid(ds, specs, cfg, func(proto longitudinal.Protocol, seed uint64) (float64, error) {
+		return privacyLossRun(ds, proto, seed), nil
 	})
 }
 
@@ -312,12 +313,12 @@ func RunDetection(ds *datasets.Dataset, b int, dChoices []int, cfg Config) ([]Po
 	}
 	detCfg := cfg
 	detCfg.Alphas = []float64{0.5} // placeholder; unused by dBitFlipPM
-	pts, err := runGrid(ds, specs, detCfg, func(proto longitudinal.Protocol, seed uint64) float64 {
+	pts, err := runGrid(ds, specs, detCfg, func(proto longitudinal.Protocol, seed uint64) (float64, error) {
 		res, err := attack.DetectDBitFlipChanges(proto.(*longitudinal.DBitFlipPM), values, seed)
 		if err != nil {
-			return math.NaN()
+			return math.NaN(), nil
 		}
-		return res.FullyDetectedRate()
+		return res.FullyDetectedRate(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -338,11 +339,11 @@ type cellJob struct {
 // runGrid executes metric once per (spec, ε∞, α, run) cell in parallel and
 // aggregates means and standard deviations per point.
 func runGrid(ds *datasets.Dataset, specs []Spec, cfg Config,
-	metric func(proto longitudinal.Protocol, seed uint64) float64) ([]Point, error) {
+	metric func(proto longitudinal.Protocol, seed uint64) (float64, error)) ([]Point, error) {
 
 	type cellKey struct{ s, e, a int }
 	results := make(map[cellKey][]float64)
-	buildErrs := make(map[cellKey]error)
+	cellErrs := make(map[cellKey]error)
 	var mu sync.Mutex
 
 	jobs := make(chan cellJob)
@@ -357,17 +358,18 @@ func runGrid(ds *datasets.Dataset, specs []Spec, cfg Config,
 				alpha := cfg.Alphas[j.alphaIdx]
 				proto, err := spec.Build(ds.K, epsInf, alpha*epsInf)
 				key := cellKey{j.specIdx, j.epsIdx, j.alphaIdx}
-				if err != nil {
-					mu.Lock()
-					buildErrs[key] = err
-					mu.Unlock()
-					continue
+				var v float64
+				if err == nil {
+					seed := randsrc.Derive(cfg.Seed,
+						uint64(j.specIdx), uint64(j.epsIdx), uint64(j.alphaIdx), uint64(j.run))
+					v, err = metric(proto, seed)
 				}
-				seed := randsrc.Derive(cfg.Seed,
-					uint64(j.specIdx), uint64(j.epsIdx), uint64(j.alphaIdx), uint64(j.run))
-				v := metric(proto, seed)
 				mu.Lock()
-				results[key] = append(results[key], v)
+				if err != nil {
+					cellErrs[key] = err
+				} else {
+					results[key] = append(results[key], v)
+				}
 				mu.Unlock()
 			}
 		}()
@@ -395,7 +397,7 @@ func runGrid(ds *datasets.Dataset, specs []Spec, cfg Config,
 					EpsInf:   epsInf,
 					Alpha:    alpha,
 				}
-				if err, bad := buildErrs[key]; bad {
+				if err, bad := cellErrs[key]; bad {
 					p.Err = err
 				} else {
 					vals := results[key]
@@ -438,21 +440,22 @@ func Replay(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64) [][]
 }
 
 // ReplaySharded is Replay with the per-round client loop sharded over the
-// given number of goroutines; estimates are bit-identical to Replay.
+// given number of goroutines; estimates are bit-identical to Replay. The
+// protocol must be a TallyProtocol whose clients implement
+// AppendReporter, as every registered family's are, over at least the
+// dataset's domain; ReplaySharded panics otherwise.
 func ReplaySharded(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64, shards int) [][]float64 {
-	n, tau := ds.N(), ds.Tau()
-	clients := make([]longitudinal.Client, n)
-	for u := range clients {
-		clients[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
+	stream, err := newCohortStream(ds, proto, seed, shards)
+	if err != nil {
+		panic(err)
 	}
-	collector := newCollector(proto, n, shards)
-	out := make([][]float64, tau)
-	for t := 0; t < tau; t++ {
-		est, err := collector.Collect(clients, ds.Round(t))
+	out := make([][]float64, ds.Tau())
+	for t := range out {
+		res, err := stream.Collect(ds.Round(t))
 		if err != nil {
-			panic(err) // impossible: clients and rounds share the dataset's n
+			panic(err)
 		}
-		out[t] = est
+		out[t] = res.Raw
 	}
 	return out
 }

@@ -252,6 +252,44 @@ func TestRunMSEDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestShardCountsGiveIdenticalOutput: ReplaySharded and RunMSE collect on
+// a Stream whose cohort blocks run on its shards; the shard count is a
+// throughput knob only, so 1 and 3 shards give identical output.
+func TestShardCountsGiveIdenticalOutput(t *testing.T) {
+	ds := tinySyn(t)
+	spec := mustSpec(t, "BiLOLOHA")
+	proto, err := spec.Build(ds.K, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, sharded := ReplaySharded(ds, proto, 42, 1), ReplaySharded(ds, proto, 42, 3)
+	for r := range serial {
+		for v := range serial[r] {
+			if serial[r][v] != sharded[r][v] {
+				t.Fatalf("ReplaySharded round %d est[%d]: %v at 1 shard, %v at 3", r, v, serial[r][v], sharded[r][v])
+			}
+		}
+	}
+
+	specs := []Spec{spec, mustSpec(t, "1BitFlipPM")}
+	cfg1, cfg3 := tinyCfg(), tinyCfg()
+	cfg1.Shards, cfg3.Shards = 1, 3
+	pts1, err := RunMSE(ds, specs, cfg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts3, err := RunMSE(ds, specs, cfg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pts1 {
+		if pts1[i].Mean != pts3[i].Mean || pts1[i].Std != pts3[i].Std {
+			t.Errorf("RunMSE point %d (%s): %v±%v at 1 shard, %v±%v at 3", i, pts1[i].Protocol,
+				pts1[i].Mean, pts1[i].Std, pts3[i].Mean, pts3[i].Std)
+		}
+	}
+}
+
 func TestRunPrivacyLossMatchesLedgerSemantics(t *testing.T) {
 	// On a dataset where every user holds a constant value, every
 	// memoization protocol spends exactly one ε∞.
@@ -337,12 +375,22 @@ func TestRunDetectionTable2Shape(t *testing.T) {
 	}
 }
 
+// untallied hides every method but Protocol's, so it is not a
+// TallyProtocol and the collection engine refuses it.
+type untallied struct{ longitudinal.Protocol }
+
 func TestRunGridReportsBuildErrors(t *testing.T) {
 	ds := tinySyn(t)
 	specs := []Spec{{
 		Name: "broken",
 		BuildFunc: func(k int, e, e1 float64) (longitudinal.Protocol, error) {
 			return longitudinal.NewRAPPOR(k, e1, e) // swapped budgets: always invalid
+		},
+	}, {
+		Name: "untallied",
+		BuildFunc: func(k int, e, e1 float64) (longitudinal.Protocol, error) {
+			p, err := longitudinal.NewRAPPOR(k, e, e1)
+			return untallied{p}, err
 		},
 	}}
 	pts, err := RunMSE(ds, specs, tinyCfg())
@@ -351,7 +399,7 @@ func TestRunGridReportsBuildErrors(t *testing.T) {
 	}
 	for _, p := range pts {
 		if p.Err == nil {
-			t.Error("broken spec produced no error")
+			t.Errorf("%s spec produced no error", p.Protocol)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package wirecontract keeps protocol families on the wire path. A family
 // registered with longitudinal.RegisterFamily whose protocol, client or
 // aggregator type silently stops implementing a wire interface fails only
-// at run time — a Stream refuses a protocol without TallyProtocol, a
-// client without AppendReporter falls back to the boxed Report path — with
-// no compile error. The analyzer makes that loud, with no escape hatch:
+// at run time — a Stream refuses a protocol without TallyProtocol, and a
+// cohort (WithCohort) of clients without AppendReporter — with no compile
+// error. The analyzer makes that loud, with no escape hatch:
 //
 //   - Every concrete protocol type returned by a family's Build hook must
 //     carry a package-level compile-time assertion
@@ -154,7 +154,7 @@ func checkFamily(pass *analysis.Pass, asserts []assertion, reported map[string]b
 		reported[ckey] = true
 		switch {
 		case !implements(client, reporterIface):
-			pass.Reportf(call.Pos(), "client %s does not implement AppendReporter: report generation falls back to the boxed Report path", client)
+			pass.Reportf(call.Pos(), "client %s does not implement AppendReporter: a Stream refuses a cohort of it (WithCohort) and it has no allocation-free report path", client)
 		case !asserted(asserts, reporterIface, client):
 			pass.Reportf(call.Pos(), "missing compile-time assertion: var _ AppendReporter = (%s)(nil)", client)
 		}

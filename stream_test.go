@@ -5,7 +5,9 @@ package loloha_test
 
 import (
 	"fmt"
+	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
@@ -138,54 +140,190 @@ func equalFloats(a, b []float64) bool {
 	return true
 }
 
-// TestStreamCohortMatchesLegacyCohort: a sharded Stream built with
-// WithCohort matches the serial boxed reference the pre-Stream cohort
-// ran — the same deterministically seeded clients, each round's Report
-// values added one by one to a plain aggregator — in estimates and in the
-// privacy ledger.
+// TestStreamCohortMatchesLegacyCohort: for every registered family and
+// shard counts 1, 3 and 8, a Stream built with WithCohort matches the
+// serial boxed reference — the same deterministically seeded clients,
+// each round's Client.Report added one by one to a plain Aggregator — in
+// estimates, report count and every user's privacy ledger.
 func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
-	const k, n, seed = 20, 500, 9
-	proto, err := loloha.NewOLOLOHA(k, 2, 1)
-	if err != nil {
-		t.Fatal(err)
+	const n, rounds, seed = 300, 3, 9
+	specs := map[string]loloha.ProtocolSpec{}
+	for _, c := range specCases() {
+		specs[c.name] = c.spec
 	}
-	legacy := make([]loloha.Client, n)
-	for u := range legacy {
-		legacy[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
-	}
-	ref := proto.NewAggregator()
-	stream, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.CohortSize() != n {
-		t.Fatalf("cohort size %d", stream.CohortSize())
-	}
-	values := make([]int, n)
-	for round := 0; round < 3; round++ {
-		for u := range values {
-			values[u] = (u*3 + round*11) % k
+	for _, family := range loloha.Families() {
+		spec, ok := specs[family]
+		if !ok {
+			t.Fatalf("no spec for registered family %q — add one to specCases", family)
 		}
-		for u, cl := range legacy {
-			ref.Add(u, cl.Report(values[u]))
+		for _, shards := range []int{1, 3, 8} {
+			t.Run(fmt.Sprintf("%s/shards=%d", family, shards), func(t *testing.T) {
+				proto, err := spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stream.CohortSize() != n || stream.CohortShards() != shards {
+					t.Fatalf("cohort of %d users in %d blocks, want %d in %d",
+						stream.CohortSize(), stream.CohortShards(), n, shards)
+				}
+				legacy := make([]loloha.Client, n)
+				for u := range legacy {
+					legacy[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
+				}
+				ref := proto.NewAggregator()
+				values := make([]int, n)
+				for round := 0; round < rounds; round++ {
+					for u := range values {
+						values[u] = (u*3 + round*11) % proto.K()
+					}
+					for u, cl := range legacy {
+						ref.Add(u, cl.Report(values[u]))
+					}
+					res, err := stream.Collect(values)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !equalFloats(res.Raw, ref.EndRound()) {
+						t.Fatalf("round %d: Stream cohort diverged from the serial boxed reference", round)
+					}
+					if res.Reports != n {
+						t.Fatalf("round %d: reports=%d, want %d", round, res.Reports, n)
+					}
+				}
+				spent := stream.PrivacySpent()
+				for u, cl := range legacy {
+					if spent[u] != cl.PrivacySpent() {
+						t.Fatalf("user %d: stream ledger %v, reference %v", u, spent[u], cl.PrivacySpent())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCollectRejectsBadValuesUntouched: Collect checks every value
+// before any client reports. A rejected call — a value outside [0, K) or
+// a values slice of the wrong length — returns an error and leaves the
+// open round, the shard tallies and every client's clock and ledger
+// untouched, so the next Collect is bit-identical to a fresh stream's
+// first.
+func TestCollectRejectsBadValuesUntouched(t *testing.T) {
+	const k, n, seed = 8, 4, 3
+	proto, err := loloha.NewLGRR(k, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCohort := func() *loloha.Stream {
+		s, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	stream := newCohort()
+	pending, spent := stream.Pending(), stream.PrivacySpent()
+	for _, bad := range [][]int{{0, 1, 2, 99}, {0, -1, 2, 3}, {0, 1, 2}} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Collect(%v) panicked: %v", bad, r)
+				}
+			}()
+			if _, err := stream.Collect(bad); err == nil {
+				t.Fatalf("Collect(%v) accepted", bad)
+			}
+		}()
+	}
+	if stream.Pending() != pending || !equalFloats(stream.PrivacySpent(), spent) || stream.Rounds() != 0 {
+		t.Fatalf("rejected Collect changed the stream: pending %d→%d, rounds %d, ledgers %v→%v",
+			pending, stream.Pending(), stream.Rounds(), spent, stream.PrivacySpent())
+	}
+	good := []int{0, 1, 2, 3}
+	got, err := stream.Collect(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newCohort().Collect(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Round != want.Round || got.Reports != want.Reports || !equalFloats(got.Raw, want.Raw) {
+		t.Fatalf("round after a rejected Collect: %+v, want a fresh stream's %+v", got, want)
+	}
+}
+
+// TestCollectConcurrentWithWireIngest: Collect tallies its cohort blocks
+// on the shards' aggregators without the shard locks, relying on the
+// exclusive round barrier. Wire enrollment, ingestion, Pending and
+// Snapshot running from other goroutines meanwhile must neither race
+// (run with -race) nor lose a report: every cohort report and every
+// accepted wire report lands in exactly one published round.
+func TestCollectConcurrentWithWireIngest(t *testing.T) {
+	const k, n, wire, rounds = 16, 200, 120, 6
+	proto, err := loloha.NewBiLOLOHA(k, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := loloha.NewStream(proto, loloha.WithCohort(n, 5), loloha.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := make([]loloha.Registration, wire)
+	payloads := make([][]byte, wire)
+	for i := range regs {
+		cl := proto.NewClient(uint64(i) + 1000)
+		regs[i] = registrationFor(t, cl)
+		payloads[i] = cl.Report(i % k).AppendBinary(nil)
+	}
+
+	var wg sync.WaitGroup
+	var accepted atomic.Int64
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := range regs {
+			if err := stream.Enroll(n+i, regs[i]); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := stream.Ingest(n+i, payloads[i]); err != nil {
+				t.Error(err)
+				return
+			}
+			accepted.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			stream.Pending()
+			if err := stream.Snapshot(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	values := make([]int, n)
+	total := 0
+	for round := 0; round < rounds; round++ {
+		for u := range values {
+			values[u] = (u + round) % k
 		}
 		res, err := stream.Collect(values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalFloats(res.Raw, ref.EndRound()) {
-			t.Fatalf("round %d: Stream cohort diverged from the serial boxed reference", round)
-		}
-		if res.Reports != n {
-			t.Fatalf("round %d: reports=%d, want %d", round, res.Reports, n)
-		}
+		total += res.Reports
 	}
-	worst := 0.0
-	for _, cl := range legacy {
-		worst = max(worst, cl.PrivacySpent())
-	}
-	if worst != stream.MaxPrivacySpent() {
-		t.Fatalf("privacy ledgers diverged: %v vs %v", worst, stream.MaxPrivacySpent())
+	wg.Wait()
+	total += stream.CloseRound().Reports
+	if want := rounds*n + int(accepted.Load()); total != want {
+		t.Fatalf("published %d reports over all rounds, want %d cohort + %d wire", total, rounds*n, accepted.Load())
 	}
 }
 
