@@ -12,7 +12,10 @@
 //
 // The server (Algorithm 2) counts, for each candidate value v, the users
 // whose report lands in their hash of v and inverts the two sanitization
-// rounds with the Eq. (3) estimator using q′₁ = 1/g.
+// rounds with the Eq. (3) estimator using q′₁ = 1/g. That support count is
+// the n·k loop of Table 1; the aggregator runs it 64 candidates per word
+// operation, turning each report into a k-bit match mask and summing the
+// masks in bit-sliced counters (bitset.Counter).
 //
 // Two named configurations: BiLOLOHA (g = 2, strongest longitudinal
 // protection) and OLOLOHA (g from the closed-form optimum of Eq. (6),
@@ -21,7 +24,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
+	"github.com/loloha-ldp/loloha/internal/bitset"
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/hashfamily"
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
@@ -40,6 +45,7 @@ type Protocol struct {
 	irr          *freqoracle.GRR // GRR(ε_IRR) over [0..g)
 	params       longitudinal.ChainParams
 	cacheSupport bool
+	planes       int // ⌈log₂ g⌉: bit planes of a cached hash table
 }
 
 // Fast-path contracts (wirecontract): a regression in either interface
@@ -75,8 +81,10 @@ func WithExactIRRCalibration() Option {
 }
 
 // WithoutSupportCache disables the aggregator's per-user hash table cache.
-// The cache trades n·k bytes of memory for replacing k hash evaluations
-// per report with k byte compares; disable it for huge cohorts.
+// The cache keeps each user's table H_u(0..k) as ⌈log₂ g⌉ bit planes, so
+// it costs n·⌈log₂ g⌉·⌈k/64⌉·8 bytes and replaces k hash evaluations per
+// report with ⌈log₂ g⌉·⌈k/64⌉ word operations; disable it for huge
+// cohorts.
 func WithoutSupportCache() Option {
 	return func(c *config) { c.cacheSupport = false }
 }
@@ -139,6 +147,7 @@ func New(k, g int, epsInf, eps1 float64, opts ...Option) (*Protocol, error) {
 			Q2: irr.Params().Q,
 		},
 		cacheSupport: cfg.cacheSupport,
+		planes:       bits.Len(uint(g - 1)),
 	}, nil
 }
 
@@ -184,13 +193,7 @@ func (p *Protocol) ApproxVariance(n int) float64 { return p.params.ApproxVarianc
 
 // SteadyReportBits implements longitudinal.Protocol: ⌈log₂ g⌉ bits per
 // round (Table 1).
-func (p *Protocol) SteadyReportBits() int {
-	bits := 0
-	for 1<<bits < p.g {
-		bits++
-	}
-	return bits
-}
+func (p *Protocol) SteadyReportBits() int { return p.planes }
 
 // ---------------------------------------------------------------------------
 // Client side (Algorithm 1).
@@ -313,13 +316,19 @@ func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
 
 // Aggregator collects one round of LOLOHA reports and estimates the k-bin
 // histogram. It registers each user's hash function the first time it sees
-// the user and (optionally) caches the user's full hash table.
+// the user and (optionally) caches the user's full hash table as bit
+// planes. Each report becomes a k-bit mask of the candidates v with
+// H_u(v) = x, and the masks are summed in bit-sliced counters that spill
+// into counts every 2^bitset.CounterBits − 1 reports and before counts is
+// read (EndRound, Merge, ExportTally).
 type Aggregator struct {
 	proto  *Protocol
 	counts []int64
 	n      int
+	tally  *bitset.Counter // support counts not yet in counts
+	mask   []uint64        // scratch: the current report's match mask
 	hashes map[int]hashfamily.Hash
-	tables map[int][]uint8 // userID -> H_u(v) for all v, if caching
+	tables map[int][]uint64 // userID -> bit planes of H_u, if caching
 }
 
 // NewAggregator implements longitudinal.Protocol.
@@ -329,13 +338,16 @@ func (p *Protocol) NewAggregator() longitudinal.Aggregator {
 
 // NewServer returns an Aggregator with its concrete type.
 func (p *Protocol) NewServer() *Aggregator {
+	tally := bitset.NewCounter(p.k)
 	a := &Aggregator{
 		proto:  p,
 		counts: make([]int64, p.k),
+		tally:  tally,
+		mask:   make([]uint64, tally.Words()),
 		hashes: make(map[int]hashfamily.Hash),
 	}
 	if p.cacheSupport {
-		a.tables = make(map[int][]uint8)
+		a.tables = make(map[int][]uint64)
 	}
 	return a
 }
@@ -357,23 +369,14 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 	if r.X < 0 || r.X >= a.proto.g {
 		panic(fmt.Sprintf("core: LOLOHA report %d outside [0,%d)", r.X, a.proto.g))
 	}
-	x := uint8(r.X)
 	if a.tables != nil {
 		table, ok := a.tables[userID]
 		//loloha:alloc-ok cold: the per-user hash table is built once, on first report
 		if !ok {
-			h := a.proto.family.FromSeed(r.HashSeed)
-			table = make([]uint8, a.proto.k)
-			for v := range table {
-				table[v] = uint8(h.Index(v))
-			}
+			table = a.proto.hashPlanes(r.HashSeed)
 			a.tables[userID] = table
 		}
-		for v, hv := range table {
-			if hv == x {
-				a.counts[v]++
-			}
-		}
+		matchMask(a.mask, table, a.proto.planes, r.X)
 	} else {
 		h, ok := a.hashes[userID]
 		//loloha:alloc-ok cold: the user's hash is resolved once, on first report
@@ -381,14 +384,56 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 			h = a.proto.family.FromSeed(r.HashSeed)
 			a.hashes[userID] = h
 		}
+		clear(a.mask)
 		for v := 0; v < a.proto.k; v++ {
+			var hit uint64
 			if h.Index(v) == r.X {
-				a.counts[v]++
+				hit = 1
 			}
+			a.mask[v>>6] |= hit << (v & 63)
 		}
+	}
+	if a.tally.Add(a.mask) {
+		a.tally.FlushInto(a.counts)
 	}
 	a.n++
 }
+
+// hashPlanes tabulates the hash function named by seed over [0..k) as
+// p.planes bit planes, interleaved by word: bit v&63 of word
+// (v>>6)·planes + j is bit j of H(v).
+func (p *Protocol) hashPlanes(seed uint64) []uint64 {
+	h := p.family.FromSeed(seed)
+	table := make([]uint64, (p.k+63)/64*p.planes)
+	for v := 0; v < p.k; v++ {
+		hv := uint64(h.Index(v))
+		row := table[(v>>6)*p.planes:][:p.planes]
+		for j := range row {
+			row[j] |= (hv >> j & 1) << (v & 63)
+		}
+	}
+	return table
+}
+
+// matchMask sets bit v of mask exactly when the table's H(v) equals x: per
+// word, the AND over planes of plane j or its complement, as bit j of x is
+// 1 or 0. Bits past k in the last word are left for the counter to drop.
+//
+//loloha:noalloc
+func matchMask(mask, table []uint64, planes, x int) {
+	for w := range mask {
+		m := ^uint64(0)
+		for j, p := range table[w*planes:][:planes] {
+			m &= p ^ (uint64(x>>j&1) - 1)
+		}
+		mask[w] = m
+	}
+}
+
+// flush moves the counter's pending support counts into counts.
+//
+//loloha:noalloc
+func (a *Aggregator) flush() { a.tally.FlushInto(a.counts) }
 
 // Fork implements longitudinal.MergeableAggregator.
 func (a *Aggregator) Fork() longitudinal.Aggregator {
@@ -404,6 +449,8 @@ func (a *Aggregator) Merge(other longitudinal.Aggregator) {
 	if !ok || o.proto != a.proto {
 		panic(fmt.Sprintf("core: LOLOHA aggregator cannot merge %T", other))
 	}
+	a.flush()
+	o.flush()
 	longitudinal.MergeCounts(a.counts, o.counts)
 	a.n += o.n
 	o.n = 0
@@ -411,6 +458,7 @@ func (a *Aggregator) Merge(other longitudinal.Aggregator) {
 
 // EndRound implements longitudinal.Aggregator: Eq. (3) with q′₁ = 1/g.
 func (a *Aggregator) EndRound() []float64 {
+	a.flush()
 	est := a.proto.params.EstimateAllL(a.counts, a.n)
 	for i := range a.counts {
 		a.counts[i] = 0

@@ -12,8 +12,13 @@ import (
 // rebuild lazily after a restore, so they are deliberately not exported.
 var _ longitudinal.SnapshotTallier = (*Aggregator)(nil)
 
-// ExportTally implements longitudinal.SnapshotTallier.
+// ExportTally implements longitudinal.SnapshotTallier. It flushes the
+// pending bit-sliced counts first, so the export is the round's exact
+// tally.
+//
+//loloha:noalloc
 func (a *Aggregator) ExportTally(dst []int64) ([]int64, int) {
+	a.flush()
 	return append(dst, a.counts...), a.n
 }
 

@@ -1,0 +1,291 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/loloha-ldp/loloha/internal/bitset"
+	"github.com/loloha-ldp/loloha/internal/freqoracle"
+	"github.com/loloha-ldp/loloha/internal/hashfamily"
+	"github.com/loloha-ldp/loloha/internal/longitudinal"
+	"github.com/loloha-ldp/loloha/internal/randsrc"
+)
+
+// Tests of the word-parallel support tally against an independent
+// reference: the naive Algorithm 2 count, C(v) = #{u : H_u(v) = x_u},
+// evaluated one user and one candidate at a time.
+
+// flushEvery is the number of reports the bit-sliced counters hold
+// before they spill into the dense counts.
+const flushEvery = 1<<bitset.CounterBits - 1
+
+// supportCase is one round's worth of reports: user u registered hash
+// seed seeds[u] and reported cell xs[u].
+type supportCase struct {
+	seeds []uint64
+	xs    []int
+}
+
+func newSupportCase(g, n int, seed uint64) supportCase {
+	r := randsrc.NewSeeded(seed)
+	c := supportCase{seeds: make([]uint64, n), xs: make([]int, n)}
+	for u := range c.seeds {
+		c.seeds[u] = r.Uint64()
+		c.xs[u] = r.Intn(g)
+	}
+	return c
+}
+
+// naiveSupport returns the reference counts over users [lo, hi).
+func naiveSupport(family hashfamily.Family, k int, c supportCase, lo, hi int) []int64 {
+	counts := make([]int64, k)
+	for u := lo; u < hi; u++ {
+		h := family.FromSeed(c.seeds[u])
+		for v := range counts {
+			if h.Index(v) == c.xs[u] {
+				counts[v]++
+			}
+		}
+	}
+	return counts
+}
+
+// tallyUsers feeds users [lo, hi) to agg through the wire tallier, the
+// path every collection route runs.
+func tallyUsers(t testing.TB, p *Protocol, agg *Aggregator, c supportCase, lo, hi int) {
+	t.Helper()
+	wt := p.WireTallier()
+	var payload []byte
+	for u := lo; u < hi; u++ {
+		payload = freqoracle.AppendGRRReport(payload[:0], c.xs[u], p.G())
+		reg := longitudinal.Registration{HashSeed: c.seeds[u]}
+		if err := wt.TallyWire(agg, u, payload, reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func checkTally(t testing.TB, what string, agg *Aggregator, want []int64, wantN int) {
+	t.Helper()
+	got, n := agg.ExportTally(nil)
+	if n != wantN {
+		t.Fatalf("%s: n = %d, want %d", what, n, wantN)
+	}
+	wrong := 0
+	for v := range want {
+		if got[v] != want[v] {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%s: %d of %d counts differ from the naive count", what, wrong, len(want))
+	}
+}
+
+type familyCase struct {
+	name string
+	mk   func(g int) hashfamily.Family
+}
+
+var supportFamilies = []familyCase{
+	{"splitmix", func(g int) hashfamily.Family { return hashfamily.NewSplitMixFamily(g) }},
+	{"carter-wegman", func(g int) hashfamily.Family { return hashfamily.NewCarterWegmanFamily(g) }},
+}
+
+func supportProtocol(t testing.TB, k, g int, fam familyCase, cached bool) *Protocol {
+	t.Helper()
+	opts := []Option{WithFamily(fam.mk(g))}
+	if !cached {
+		opts = append(opts, WithoutSupportCache())
+	}
+	p, err := New(k, g, 2, 1, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSupportCountsMatchNaive runs the grid of domain sizes (one word,
+// word edges, the benchmark's k), reduced domains (powers of two and not,
+// wider than a byte), both hash families and both server modes, with
+// report counts on each side of the counters' flush boundary.
+func TestSupportCountsMatchNaive(t *testing.T) {
+	ns := []int{1, flushEvery - 1, flushEvery, flushEvery + 1, 1000}
+	for _, k := range []int{2, 63, 64, 65, 360, 1000} {
+		for _, g := range []int{2, 3, 4, 5, 8, 257} {
+			for _, fam := range supportFamilies {
+				c := newSupportCase(g, ns[len(ns)-1], uint64(k*1000+g))
+				family := fam.mk(g)
+				want := map[int][]int64{}
+				for _, n := range ns {
+					want[n] = naiveSupport(family, k, c, 0, n)
+				}
+				for _, cached := range []bool{true, false} {
+					p := supportProtocol(t, k, g, fam, cached)
+					for _, n := range ns {
+						agg := p.NewServer()
+						tallyUsers(t, p, agg, c, 0, n)
+						what := fmt.Sprintf("k=%d g=%d %s cached=%v n=%d", k, g, fam.name, cached, n)
+						checkTally(t, what, agg, want[n], n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSupportCacheWideG is the regression for reduced domains wider than
+// a byte: a cached table that kept H_u(v) in 8 bits matched cells modulo
+// 256, so at g = 257 and g = 300 the cached counts disagreed with the
+// uncached ones.
+func TestSupportCacheWideG(t *testing.T) {
+	const k, n = 2000, 300
+	for _, g := range []int{256, 257, 300, 1024} {
+		p, err := New(k, g, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newSupportCase(g, n, uint64(g))
+		// Each user's cell is one its hash actually produces, so every
+		// report has support and a wrapped cell would show.
+		for u := range c.xs {
+			c.xs[u] = p.family.FromSeed(c.seeds[u]).Index(u % k)
+		}
+		agg := p.NewServer()
+		tallyUsers(t, p, agg, c, 0, n)
+		checkTally(t, fmt.Sprintf("g=%d", g), agg, naiveSupport(p.family, k, c, 0, n), n)
+	}
+}
+
+// TestSupportCountsExactAcrossMidRoundReads interleaves ExportTally,
+// Merge and ImportTally with tallying, mid-round and off the flush
+// boundary, and checks counts, n and the final estimates against the
+// naive count.
+func TestSupportCountsExactAcrossMidRoundReads(t *testing.T) {
+	const k, n = 130, 1000
+	for _, g := range []int{2, 257} {
+		for _, fam := range supportFamilies {
+			for _, cached := range []bool{true, false} {
+				name := fmt.Sprintf("g=%d/%s/cached=%v", g, fam.name, cached)
+				t.Run(name, func(t *testing.T) {
+					p := supportProtocol(t, k, g, fam, cached)
+					c := newSupportCase(g, n, uint64(g))
+					naive := func(lo, hi int) []int64 { return naiveSupport(p.family, k, c, lo, hi) }
+
+					a := p.NewServer()
+					tallyUsers(t, p, a, c, 0, 100)
+					checkTally(t, "a after 100", a, naive(0, 100), 100)
+					tallyUsers(t, p, a, c, 100, 300)
+					checkTally(t, "a after 300", a, naive(0, 300), 300)
+
+					// A fork tallies [300, 500); a mid-fork Merge moves its
+					// pending counts into a and empties it.
+					b := a.Fork().(*Aggregator)
+					tallyUsers(t, p, b, c, 300, 400)
+					a.Merge(b)
+					checkTally(t, "a after merge", a, naive(0, 400), 400)
+					checkTally(t, "b after merge", b, make([]int64, k), 0)
+					tallyUsers(t, p, b, c, 400, 500)
+					tallyUsers(t, p, a, c, 500, 600)
+
+					// A third aggregator imports a's export mid-round, then
+					// merges b and finishes the round.
+					d := p.NewServer()
+					tallyUsers(t, p, d, c, 600, 650)
+					counts, an := a.ExportTally(nil)
+					a.EndRound()
+					if err := d.ImportTally(counts, an); err != nil {
+						t.Fatal(err)
+					}
+					tallyUsers(t, p, d, c, 650, 700)
+					d.Merge(b)
+					tallyUsers(t, p, d, c, 700, n)
+					want := naive(0, n)
+					checkTally(t, "d at round end", d, want, n)
+
+					// The estimates are Eq. (3) of exactly those counts.
+					wantEst := p.params.EstimateAllL(want, n)
+					for v, e := range d.EndRound() {
+						if e != wantEst[v] {
+							t.Fatalf("estimate %d = %v, want %v", v, e, wantEst[v])
+						}
+					}
+					checkTally(t, "d after EndRound", d, make([]int64, k), 0)
+				})
+			}
+		}
+	}
+}
+
+// TestTallyWireZeroAllocLOLOHA pins the steady-state support tally at 0
+// allocations per report over more than one flush period, so the
+// counters' spill into counts runs inside the measured loop.
+func TestTallyWireZeroAllocLOLOHA(t *testing.T) {
+	const k, users = 360, flushEvery + 45
+	for _, g := range []int{2, 257} {
+		for _, cached := range []bool{true, false} {
+			p := supportProtocol(t, k, g, supportFamilies[0], cached)
+			c := newSupportCase(g, users, 7)
+			payloads := make([][]byte, users)
+			regs := make([]longitudinal.Registration, users)
+			for u := range payloads {
+				payloads[u] = freqoracle.AppendGRRReport(nil, c.xs[u], g)
+				regs[u] = longitudinal.Registration{HashSeed: c.seeds[u]}
+			}
+			agg := p.NewServer()
+			wt := p.WireTallier()
+			tallyUsers(t, p, agg, c, 0, users) // builds the per-user tables
+			allocs := testing.AllocsPerRun(3, func() {
+				for u := range payloads {
+					if err := wt.TallyWire(agg, u, payloads[u], regs[u]); err != nil {
+						panic(err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("g=%d cached=%v: TallyWire allocates %v times per %d reports, want 0", g, cached, allocs, users)
+			}
+			dst := make([]int64, 0, k)
+			allocs = testing.AllocsPerRun(10, func() {
+				dst, _ = agg.ExportTally(dst[:0])
+			})
+			if allocs != 0 {
+				t.Errorf("g=%d cached=%v: ExportTally into a sized dst allocates %v times, want 0", g, cached, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkTallyWireLOLOHA measures the steady-state support tally per
+// report at the pipeline benchmark's k, for BiLOLOHA, OLOLOHA's g at
+// (ε∞, ε1) = (2, 1) and a reduced domain wider than a byte. The users'
+// hash tables are built before the timer starts.
+func BenchmarkTallyWireLOLOHA(b *testing.B) {
+	const k, users = 360, 10000
+	for _, g := range []int{2, OptimalG(2, 1), 257} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			p, err := New(k, g, 2, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := newSupportCase(g, users, 9)
+			payloads := make([][]byte, users)
+			regs := make([]longitudinal.Registration, users)
+			for u := range payloads {
+				payloads[u] = freqoracle.AppendGRRReport(nil, c.xs[u], g)
+				regs[u] = longitudinal.Registration{HashSeed: c.seeds[u]}
+			}
+			agg := p.NewServer()
+			wt := p.WireTallier()
+			tallyUsers(b, p, agg, c, 0, users)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := i % users
+				if err := wt.TallyWire(agg, u, payloads[u], regs[u]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -105,6 +105,10 @@ var trustTable = []trustRule{
 	{"internal/bitset", "Bitset", "Reset"},
 	{"internal/bitset", "Bitset", "Grow"},
 	{"internal/bitset", "Bitset", "AccumulateInto"},
+	// Bit-sliced counters: Add and FlushInto work in place on planes
+	// sized by NewCounter.
+	{"internal/bitset", "Counter", "Add"},
+	{"internal/bitset", "Counter", "FlushInto"},
 	// Privacy ledger: Charge is one amortized map write.
 	{"internal/privacy", "Ledger", "Charge"},
 	{"internal/privacy", "Ledger", "Spent"},
