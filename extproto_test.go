@@ -30,7 +30,7 @@ func (p *histBase) SteadyReportBits() int { return 8 }
 
 func (p *histBase) NewClient(seed uint64) loloha.Client { return &histClient{k: p.k} }
 func (p *histBase) NewAggregator() loloha.Aggregator {
-	return &histAgg{k: p.k, counts: make([]int64, p.k)}
+	return &histAgg{k: p.k, round: loloha.Tally{Counts: make([]int64, p.k)}}
 }
 
 // histProto adds WireTallier, making the protocol ingestible.
@@ -72,59 +72,69 @@ func (t histTallier) TallyWire(agg loloha.Aggregator, _ int, payload []byte, _ l
 	if v >= t.k {
 		return fmt.Errorf("ext-hist: value %d outside [0,%d)", v, t.k)
 	}
-	a.counts[v]++
-	a.n++
+	a.round.Counts[v]++
+	a.round.N++
 	return nil
 }
 
+// histAgg keeps its whole round in a loloha.Tally, which is all a Stream
+// needs to shard, snapshot and merge it.
 type histAgg struct {
-	k      int
-	counts []int64
-	n      int
+	k     int
+	round loloha.Tally
 }
 
-func (a *histAgg) Add(userID int, rep loloha.Report) { a.counts[rep.(histReport).v]++; a.n++ }
-func (a *histAgg) EstimateDomain() int               { return a.k }
+func (a *histAgg) Add(userID int, rep loloha.Report) {
+	a.round.Counts[rep.(histReport).v]++
+	a.round.N++
+}
+func (a *histAgg) EstimateDomain() int  { return a.k }
+func (a *histAgg) Tally() *loloha.Tally { return &a.round }
 func (a *histAgg) EndRound() []float64 {
 	est := make([]float64, a.k)
-	if a.n > 0 {
-		for v, c := range a.counts {
-			est[v] = float64(c) / float64(a.n)
+	if a.round.N > 0 {
+		for v, c := range a.round.Counts {
+			est[v] = float64(c) / float64(a.round.N)
 		}
 	}
-	clear(a.counts)
-	a.n = 0
+	a.round.Reset()
 	return est
 }
-
-// (histAgg is deliberately NOT mergeable: the stream must degrade to a
-// single shard and still work.)
 
 func runExternalProtocol(t *testing.T, proto loloha.Protocol) {
 	t.Helper()
 	const n = 64
-	stream, err := loloha.NewStream(proto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stream.Shards(); got != 1 {
-		t.Fatalf("non-mergeable external aggregator got %d shards, want serial fallback", got)
-	}
-	sub := stream.Subscribe()
 	userIDs := make([]int, n)
 	payloads := make([][]byte, n)
 	for u := 0; u < n; u++ {
-		if err := stream.Enroll(u, loloha.Registration{}); err != nil {
-			t.Fatal(err)
-		}
 		userIDs[u] = u
 		payloads[u] = proto.NewClient(0).Report(u % 4).AppendBinary(nil)
 	}
-	if err := stream.IngestBatch(userIDs, payloads); err != nil {
-		t.Fatal(err)
+	// The same batch through the default shard count and a serial stream:
+	// the shard fold must publish identical estimates.
+	collect := func(opts ...loloha.StreamOption) (*loloha.Stream, loloha.RoundResult) {
+		stream, err := loloha.NewStream(proto, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := stream.Subscribe()
+		for _, u := range userIDs {
+			if err := stream.Enroll(u, loloha.Registration{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := stream.IngestBatch(userIDs, payloads); err != nil {
+			t.Fatal(err)
+		}
+		stream.CloseRound()
+		return stream, <-sub
 	}
-	stream.CloseRound()
-	res := <-sub
+	stream, res := collect()
+	_, serial := collect(loloha.WithShards(1))
+	if res.Reports != n || !slices.Equal(res.Estimates, serial.Estimates) {
+		t.Fatalf("%d shards: %d reports, estimates %v; 1 shard: %d reports, %v",
+			stream.Shards(), res.Reports, res.Estimates, serial.Reports, serial.Estimates)
+	}
 	for v := 0; v < 4; v++ {
 		if math.Abs(res.Estimates[v]-0.25) > 1e-12 {
 			t.Fatalf("est[%d] = %v, want 0.25 exactly (protocol is noise-free)", v, res.Estimates[v])

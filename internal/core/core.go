@@ -319,16 +319,15 @@ func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
 // the user and (optionally) caches the user's full hash table as bit
 // planes. Each report becomes a k-bit mask of the candidates v with
 // H_u(v) = x, and the masks are summed in bit-sliced counters that spill
-// into counts every 2^bitset.CounterBits − 1 reports and before counts is
-// read (EndRound, Merge, ExportTally).
+// into the round's counts every 2^bitset.CounterBits − 1 reports and
+// before the counts are read (EndRound, Tally).
 type Aggregator struct {
-	proto  *Protocol
-	counts []int64
-	n      int
-	tally  *bitset.Counter // support counts not yet in counts
-	mask   []uint64        // scratch: the current report's match mask
-	hashes map[int]hashfamily.Hash
-	tables map[int][]uint64 // userID -> bit planes of H_u, if caching
+	proto   *Protocol
+	round   longitudinal.Tally
+	pending *bitset.Counter // support counts not yet in round.Counts
+	mask    []uint64        // scratch: the current report's match mask
+	hashes  map[int]hashfamily.Hash
+	tables  map[int][]uint64 // userID -> bit planes of H_u, if caching
 }
 
 // NewAggregator implements longitudinal.Protocol.
@@ -338,13 +337,13 @@ func (p *Protocol) NewAggregator() longitudinal.Aggregator {
 
 // NewServer returns an Aggregator with its concrete type.
 func (p *Protocol) NewServer() *Aggregator {
-	tally := bitset.NewCounter(p.k)
+	pending := bitset.NewCounter(p.k)
 	a := &Aggregator{
-		proto:  p,
-		counts: make([]int64, p.k),
-		tally:  tally,
-		mask:   make([]uint64, tally.Words()),
-		hashes: make(map[int]hashfamily.Hash),
+		proto:   p,
+		round:   longitudinal.Tally{Counts: make([]int64, p.k)},
+		pending: pending,
+		mask:    make([]uint64, pending.Words()),
+		hashes:  make(map[int]hashfamily.Hash),
 	}
 	if p.cacheSupport {
 		a.tables = make(map[int][]uint64)
@@ -393,10 +392,10 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 			a.mask[v>>6] |= hit << (v & 63)
 		}
 	}
-	if a.tally.Add(a.mask) {
-		a.tally.FlushInto(a.counts)
+	if a.pending.Add(a.mask) {
+		a.flush()
 	}
-	a.n++
+	a.round.N++
 }
 
 // hashPlanes tabulates the hash function named by seed over [0..k) as
@@ -430,40 +429,28 @@ func matchMask(mask, table []uint64, planes, x int) {
 	}
 }
 
-// flush moves the counter's pending support counts into counts.
+// flush moves the counter's pending support counts into the round.
 //
 //loloha:noalloc
-func (a *Aggregator) flush() { a.tally.FlushInto(a.counts) }
+func (a *Aggregator) flush() { a.pending.FlushInto(a.round.Counts) }
 
-// Fork implements longitudinal.MergeableAggregator.
-func (a *Aggregator) Fork() longitudinal.Aggregator {
-	return a.proto.NewServer()
-}
-
-// Merge implements longitudinal.MergeableAggregator: it folds other's
-// round tallies into the receiver and resets them. other keeps its
-// per-user hash registrations (they are keyed by the users the fork
-// tallies, which stay with the fork across rounds).
-func (a *Aggregator) Merge(other longitudinal.Aggregator) {
-	o, ok := other.(*Aggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("core: LOLOHA aggregator cannot merge %T", other))
-	}
+// Tally implements longitudinal.Aggregator. It flushes the pending
+// bit-sliced counts first, so the returned tally is the round's exact
+// state. The per-user hash and table caches are not round state: they
+// are pure functions of the enrolled hash seeds and stay with the
+// aggregator.
+//
+//loloha:noalloc
+func (a *Aggregator) Tally() *longitudinal.Tally {
 	a.flush()
-	o.flush()
-	longitudinal.MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
+	return &a.round
 }
 
 // EndRound implements longitudinal.Aggregator: Eq. (3) with q′₁ = 1/g.
 func (a *Aggregator) EndRound() []float64 {
 	a.flush()
-	est := a.proto.params.EstimateAllL(a.counts, a.n)
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.n = 0
+	est := a.proto.params.EstimateAllL(a.round.Counts, a.round.N)
+	a.round.Reset()
 	return est
 }
 

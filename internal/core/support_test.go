@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/loloha-ldp/loloha/internal/bitset"
@@ -67,7 +68,8 @@ func tallyUsers(t testing.TB, p *Protocol, agg *Aggregator, c supportCase, lo, h
 
 func checkTally(t testing.TB, what string, agg *Aggregator, want []int64, wantN int) {
 	t.Helper()
-	got, n := agg.ExportTally(nil)
+	tl := agg.Tally()
+	got, n := tl.Counts, tl.N
 	if n != wantN {
 		t.Fatalf("%s: n = %d, want %d", what, n, wantN)
 	}
@@ -157,10 +159,11 @@ func TestSupportCacheWideG(t *testing.T) {
 	}
 }
 
-// TestSupportCountsExactAcrossMidRoundReads interleaves ExportTally,
-// Merge and ImportTally with tallying, mid-round and off the flush
-// boundary, and checks counts, n and the final estimates against the
-// naive count.
+// TestSupportCountsExactAcrossMidRoundReads interleaves Tally reads,
+// folds (Add then Reset, as a stream closing a sharded round) and copies
+// added into a third aggregator (a restore) with tallying, mid-round and
+// off the flush boundary, and checks counts, n and the final estimates
+// against the naive count.
 func TestSupportCountsExactAcrossMidRoundReads(t *testing.T) {
 	const k, n = 130, 1000
 	for _, g := range []int{2, 257} {
@@ -178,27 +181,28 @@ func TestSupportCountsExactAcrossMidRoundReads(t *testing.T) {
 					tallyUsers(t, p, a, c, 100, 300)
 					checkTally(t, "a after 300", a, naive(0, 300), 300)
 
-					// A fork tallies [300, 500); a mid-fork Merge moves its
-					// pending counts into a and empties it.
-					b := a.Fork().(*Aggregator)
+					// A second shard tallies [300, 500); a mid-round fold
+					// moves its pending counts into a and empties it.
+					b := p.NewServer()
 					tallyUsers(t, p, b, c, 300, 400)
-					a.Merge(b)
-					checkTally(t, "a after merge", a, naive(0, 400), 400)
-					checkTally(t, "b after merge", b, make([]int64, k), 0)
+					fold(t, a, b)
+					checkTally(t, "a after fold", a, naive(0, 400), 400)
+					checkTally(t, "b after fold", b, make([]int64, k), 0)
 					tallyUsers(t, p, b, c, 400, 500)
 					tallyUsers(t, p, a, c, 500, 600)
 
-					// A third aggregator imports a's export mid-round, then
-					// merges b and finishes the round.
+					// A third aggregator adds a copy of a's tally mid-round,
+					// then folds b and finishes the round.
 					d := p.NewServer()
 					tallyUsers(t, p, d, c, 600, 650)
-					counts, an := a.ExportTally(nil)
+					at := a.Tally()
+					saved := longitudinal.Tally{Counts: slices.Clone(at.Counts), N: at.N}
 					a.EndRound()
-					if err := d.ImportTally(counts, an); err != nil {
+					if err := d.Tally().Add(saved); err != nil {
 						t.Fatal(err)
 					}
 					tallyUsers(t, p, d, c, 650, 700)
-					d.Merge(b)
+					fold(t, d, b)
 					tallyUsers(t, p, d, c, 700, n)
 					want := naive(0, n)
 					checkTally(t, "d at round end", d, want, n)
@@ -215,6 +219,17 @@ func TestSupportCountsExactAcrossMidRoundReads(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fold moves src's round into dst, as a stream does with its shards when
+// a round closes.
+func fold(t *testing.T, dst, src *Aggregator) {
+	t.Helper()
+	st := src.Tally()
+	if err := dst.Tally().Add(*st); err != nil {
+		t.Fatal(err)
+	}
+	st.Reset()
 }
 
 // TestTallyWireZeroAllocLOLOHA pins the steady-state support tally at 0
@@ -245,12 +260,16 @@ func TestTallyWireZeroAllocLOLOHA(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("g=%d cached=%v: TallyWire allocates %v times per %d reports, want 0", g, cached, allocs, users)
 			}
-			dst := make([]int64, 0, k)
 			allocs = testing.AllocsPerRun(10, func() {
-				dst, _ = agg.ExportTally(dst[:0])
+				for u := range 45 { // leaves counts pending for Tally to flush
+					if err := wt.TallyWire(agg, u, payloads[u], regs[u]); err != nil {
+						panic(err)
+					}
+				}
+				_ = agg.Tally()
 			})
 			if allocs != 0 {
-				t.Errorf("g=%d cached=%v: ExportTally into a sized dst allocates %v times, want 0", g, cached, allocs)
+				t.Errorf("g=%d cached=%v: a mid-round Tally read allocates %v times, want 0", g, cached, allocs)
 			}
 		}
 	}

@@ -336,14 +336,13 @@ func (r UEReport) AppendBinary(dst []byte) []byte {
 
 // chainUEAggregator tallies one round of UE reports.
 type chainUEAggregator struct {
-	proto  *ChainUE
-	counts []int64
-	n      int
+	proto *ChainUE
+	round Tally
 }
 
 // NewAggregator implements Protocol.
 func (c *ChainUE) NewAggregator() Aggregator {
-	return &chainUEAggregator{proto: c, counts: make([]int64, c.k)}
+	return &chainUEAggregator{proto: c, round: Tally{Counts: make([]int64, c.k)}}
 }
 
 // Add implements Aggregator.
@@ -356,33 +355,17 @@ func (a *chainUEAggregator) Add(userID int, rep Report) {
 		panic(fmt.Sprintf("longitudinal: %s report has %d bits, want %d",
 			a.proto.name, ue.Bits.Len(), a.proto.k))
 	}
-	ue.Bits.AccumulateInto(a.counts)
-	a.n++
+	ue.Bits.AccumulateInto(a.round.Counts)
+	a.round.N++
 }
 
-// Fork implements MergeableAggregator.
-func (a *chainUEAggregator) Fork() Aggregator {
-	return a.proto.NewAggregator()
-}
-
-// Merge implements MergeableAggregator.
-func (a *chainUEAggregator) Merge(other Aggregator) {
-	o, ok := other.(*chainUEAggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("longitudinal: %s aggregator cannot merge %T", a.proto.name, other))
-	}
-	MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
-}
+// Tally implements Aggregator.
+func (a *chainUEAggregator) Tally() *Tally { return &a.round }
 
 // EndRound implements Aggregator.
 func (a *chainUEAggregator) EndRound() []float64 {
-	est := a.proto.params.EstimateAllL(a.counts, a.n)
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.n = 0
+	est := a.proto.params.EstimateAllL(a.round.Counts, a.round.N)
+	a.round.Reset()
 	return est
 }
 

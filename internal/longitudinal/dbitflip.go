@@ -289,14 +289,13 @@ func (r DBitReport) Equal(o DBitReport) bool {
 }
 
 type dBitAggregator struct {
-	proto  *DBitFlipPM
-	counts []int64
-	n      int
+	proto *DBitFlipPM
+	round Tally
 }
 
 // NewAggregator implements Protocol.
 func (m *DBitFlipPM) NewAggregator() Aggregator {
-	return &dBitAggregator{proto: m, counts: make([]int64, m.b)}
+	return &dBitAggregator{proto: m, round: Tally{Counts: make([]int64, m.b)}}
 }
 
 // Add implements Aggregator.
@@ -311,43 +310,28 @@ func (a *dBitAggregator) Add(userID int, rep Report) {
 	}
 	for l, j := range d.Sampled {
 		if d.Bits[l] {
-			a.counts[j]++
+			a.round.Counts[j]++
 		}
 	}
-	a.n++
+	a.round.N++
 }
 
-// Fork implements MergeableAggregator.
-func (a *dBitAggregator) Fork() Aggregator {
-	return a.proto.NewAggregator()
-}
-
-// Merge implements MergeableAggregator.
-func (a *dBitAggregator) Merge(other Aggregator) {
-	o, ok := other.(*dBitAggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM aggregator cannot merge %T", other))
-	}
-	MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
-}
+// Tally implements Aggregator.
+func (a *dBitAggregator) Tally() *Tally { return &a.round }
 
 // EndRound implements Aggregator: Eq. (1) with n replaced by nd/b, since
 // each bucket is observed by ~nd/b users (§2.4.4). A round with zero
 // reports estimates zero everywhere.
 func (a *dBitAggregator) EndRound() []float64 {
 	est := make([]float64, a.proto.b)
-	if a.n == 0 {
-		return est
+	if a.round.N > 0 {
+		nEff := float64(a.round.N) * float64(a.proto.d) / float64(a.proto.b)
+		den := nEff * (a.proto.p - a.proto.q)
+		for j, c := range a.round.Counts {
+			est[j] = (float64(c) - nEff*a.proto.q) / den
+		}
 	}
-	nEff := float64(a.n) * float64(a.proto.d) / float64(a.proto.b)
-	den := nEff * (a.proto.p - a.proto.q)
-	for j, c := range a.counts {
-		est[j] = (float64(c) - nEff*a.proto.q) / den
-		a.counts[j] = 0
-	}
-	a.n = 0
+	a.round.Reset()
 	return est
 }
 

@@ -157,14 +157,13 @@ func (r GRRValueReport) AppendBinary(dst []byte) []byte {
 }
 
 type lgrrAggregator struct {
-	proto  *LGRR
-	counts []int64
-	n      int
+	proto *LGRR
+	round Tally
 }
 
 // NewAggregator implements Protocol.
 func (m *LGRR) NewAggregator() Aggregator {
-	return &lgrrAggregator{proto: m, counts: make([]int64, m.k)}
+	return &lgrrAggregator{proto: m, round: Tally{Counts: make([]int64, m.k)}}
 }
 
 // Add implements Aggregator.
@@ -176,33 +175,17 @@ func (a *lgrrAggregator) Add(userID int, rep Report) {
 	if g.X < 0 || g.X >= a.proto.k {
 		panic(fmt.Sprintf("longitudinal: L-GRR report %d outside [0,%d)", g.X, a.proto.k))
 	}
-	a.counts[g.X]++
-	a.n++
+	a.round.Counts[g.X]++
+	a.round.N++
 }
 
-// Fork implements MergeableAggregator.
-func (a *lgrrAggregator) Fork() Aggregator {
-	return a.proto.NewAggregator()
-}
-
-// Merge implements MergeableAggregator.
-func (a *lgrrAggregator) Merge(other Aggregator) {
-	o, ok := other.(*lgrrAggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("longitudinal: L-GRR aggregator cannot merge %T", other))
-	}
-	MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
-}
+// Tally implements Aggregator.
+func (a *lgrrAggregator) Tally() *Tally { return &a.round }
 
 // EndRound implements Aggregator.
 func (a *lgrrAggregator) EndRound() []float64 {
-	est := a.proto.params.EstimateAllL(a.counts, a.n)
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.n = 0
+	est := a.proto.params.EstimateAllL(a.round.Counts, a.round.N)
+	a.round.Reset()
 	return est
 }
 

@@ -78,35 +78,15 @@ type Aggregator interface {
 	// EstimateDomain returns the length of EndRound's result: k for most
 	// protocols, b (the bucket count) for dBitFlipPM.
 	EstimateDomain() int
-}
-
-// MergeableAggregator is an Aggregator that supports sharded collection:
-// Fork'd siblings tally disjoint partitions of the cohort on their own
-// goroutines and Merge folds each sibling's round state back into one
-// aggregator before EndRound. Every aggregator in this repository
-// implements it.
-type MergeableAggregator interface {
-	Aggregator
-	// Fork returns a fresh aggregator with the same configuration and no
-	// accumulated round state. Forks do not share mutable state with the
-	// receiver: each maintains its own tallies and registration caches, so
-	// distinct forks may Add concurrently.
-	Fork() Aggregator
-	// Merge folds other's current-round tallies into the receiver and
-	// resets other's round tallies (long-lived registration caches stay
-	// with other, so a fork remains cheap to reuse across rounds). other
-	// must come from Fork on the receiver or on a sibling; tallies are
-	// integer counts, so any merge order yields bit-identical estimates.
-	Merge(other Aggregator)
-}
-
-// MergeCounts folds src's tallies into dst and zeroes src: the shared
-// round-state transfer of every Merge implementation in this repository.
-func MergeCounts(dst, src []int64) {
-	for i, c := range src {
-		dst[i] += c
-		src[i] = 0
-	}
+	// Tally returns the open round's state: the support counts and report
+	// count EndRound estimates from, with len(Counts) fixed for the
+	// aggregator's lifetime. The pointer aliases the aggregator, so adding
+	// into it or resetting it moves round state in or out (sharding folds,
+	// restores and collector-tree merges all work this way). It may be
+	// read or written only while no Add or TallyWire runs on the
+	// aggregator; server.Stream calls it under its exclusive round
+	// barrier.
+	Tally() *Tally
 }
 
 // Protocol binds the two sides together with the protocol's metadata.

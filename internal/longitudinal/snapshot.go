@@ -2,99 +2,51 @@ package longitudinal
 
 import "fmt"
 
-// Snapshot export/import — the durability half of the tally contract. An
-// aggregator's open-round state is exactly (counts, n): integer support
-// counts plus the number of reports behind them. EndRound computes its
-// estimates from those two alone, so exporting them, persisting or
-// shipping them, and adding them back is lossless — a restored or merged
-// round ends bit-identically to the uninterrupted one. Everything else an
-// aggregator holds (per-user hash caches, lookup tables) is a pure
-// function of enrollment metadata and rebuilds lazily.
+// Round state — the one contract behind sharding, durability and the
+// collector tree. An aggregator's open-round state is exactly a Tally:
+// integer support counts plus the number of reports behind them. EndRound
+// computes its estimates from those two alone, so copying them out,
+// persisting or shipping them, and adding them back is lossless — a
+// restored or merged round ends bit-identically to the uninterrupted one.
+// Everything else an aggregator holds (per-user hash caches, lookup
+// tables) is a pure function of enrollment metadata and rebuilds lazily.
 //
-// The same contract serves two consumers: server.Stream.Snapshot writes
-// shard tallies to disk for crash recovery, and a collector-tree leaf
-// exports its round so the root can ImportTally it — integer adds
-// commute, so the tree's estimates match a single-node run exactly.
+// Every consumer is count-vector arithmetic on Aggregator.Tally:
+// server.Stream folds its shards into shard 0 when a round closes,
+// Snapshot copies each shard's tally to disk for crash recovery, and a
+// collector-tree leaf ships its folded round so the root can add it —
+// integer adds commute, so the tree's estimates match a single-node run
+// exactly.
 
-// SnapshotTallier is an Aggregator whose open-round tallies can be
-// exported and re-imported exactly. Every aggregator in this repository
-// implements it; the wirecontract linter pins the assertion for each
-// registered family.
-type SnapshotTallier interface {
-	// ExportTally appends the aggregator's current-round support counts to
-	// dst and returns the extended slice plus the round's report count n.
-	// The aggregator's state is unchanged.
-	ExportTally(dst []int64) ([]int64, int)
-	// ImportTally adds counts and n into the aggregator's current round.
-	// counts must have exactly the aggregator's tally length (the exported
-	// length); a mismatch imports nothing and returns an error. counts is
-	// not retained or mutated.
-	ImportTally(counts []int64, n int) error
+// Tally is one aggregator's open round: Counts[v] is the support count of
+// estimate-domain entry v and N the number of reports tallied into them.
+type Tally struct {
+	Counts []int64
+	N      int
 }
 
-// Snapshot-contract assertions (wirecontract): every family's aggregator
-// must stay export/import-capable or snapshot/restore and the collector
-// tree silently lose it.
-var (
-	_ SnapshotTallier = (*chainUEAggregator)(nil)
-	_ SnapshotTallier = (*lgrrAggregator)(nil)
-	_ SnapshotTallier = (*dBitAggregator)(nil)
-)
-
-// importCounts adds src into dst after the length check shared by every
-// ImportTally implementation. Unlike MergeCounts it leaves src untouched,
-// so a caller may re-import the same snapshot after a failed ship.
-func importCounts(dst, src []int64, n int, name string) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("longitudinal: %s import has %d counts, aggregator tallies %d", name, len(src), len(dst))
+// Add adds src into t. src must have exactly t's length and a
+// non-negative N; otherwise t is left untouched and an error returned.
+// src is not retained or mutated, so a caller may add the same tally
+// again (a snapshot re-imported after a failed ship).
+func (t *Tally) Add(src Tally) error {
+	if len(src.Counts) != len(t.Counts) {
+		return fmt.Errorf("longitudinal: tally has %d counts, want %d", len(src.Counts), len(t.Counts))
 	}
-	if n < 0 {
-		return fmt.Errorf("longitudinal: %s import has negative report count %d", name, n)
+	if src.N < 0 {
+		return fmt.Errorf("longitudinal: tally has negative report count %d", src.N)
 	}
-	for i, c := range src {
-		dst[i] += c
+	for i, c := range src.Counts {
+		t.Counts[i] += c
 	}
+	t.N += src.N
 	return nil
 }
 
-// ExportTally implements SnapshotTallier.
-func (a *chainUEAggregator) ExportTally(dst []int64) ([]int64, int) {
-	return append(dst, a.counts...), a.n
-}
-
-// ImportTally implements SnapshotTallier.
-func (a *chainUEAggregator) ImportTally(counts []int64, n int) error {
-	if err := importCounts(a.counts, counts, n, a.proto.name); err != nil {
-		return err
-	}
-	a.n += n
-	return nil
-}
-
-// ExportTally implements SnapshotTallier.
-func (a *lgrrAggregator) ExportTally(dst []int64) ([]int64, int) {
-	return append(dst, a.counts...), a.n
-}
-
-// ImportTally implements SnapshotTallier.
-func (a *lgrrAggregator) ImportTally(counts []int64, n int) error {
-	if err := importCounts(a.counts, counts, n, "L-GRR"); err != nil {
-		return err
-	}
-	a.n += n
-	return nil
-}
-
-// ExportTally implements SnapshotTallier.
-func (a *dBitAggregator) ExportTally(dst []int64) ([]int64, int) {
-	return append(dst, a.counts...), a.n
-}
-
-// ImportTally implements SnapshotTallier.
-func (a *dBitAggregator) ImportTally(counts []int64, n int) error {
-	if err := importCounts(a.counts, counts, n, "dBitFlipPM"); err != nil {
-		return err
-	}
-	a.n += n
-	return nil
+// Reset zeroes t in place, keeping its length.
+//
+//loloha:noalloc
+func (t *Tally) Reset() {
+	clear(t.Counts)
+	t.N = 0
 }

@@ -28,8 +28,8 @@ type WireTallier interface {
 	CheckRegistration(reg Registration) error
 	// TallyWire decodes payload in place and adds the report it carries to
 	// agg's current-round tallies for the identified user. agg must come
-	// from the same protocol that supplied the tallier (NewAggregator or a
-	// Fork of it); reg is the user's enrollment metadata. A non-nil error
+	// from the same protocol that supplied the tallier (its
+	// NewAggregator); reg is the user's enrollment metadata. A non-nil error
 	// means nothing was tallied.
 	TallyWire(agg Aggregator, userID int, payload []byte, reg Registration) error
 }
@@ -75,8 +75,8 @@ func (t ueWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, _ Regist
 	if err := freqoracle.CheckUEPayload(payload, t.k); err != nil {
 		return err
 	}
-	freqoracle.AccumulateUEPayload(payload, t.k, a.counts)
-	a.n++
+	freqoracle.AccumulateUEPayload(payload, t.k, a.round.Counts)
+	a.round.N++
 	return nil
 }
 
@@ -112,8 +112,8 @@ func (t grrWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, _ Regis
 	if err != nil {
 		return err
 	}
-	a.counts[x]++
-	a.n++
+	a.round.Counts[x]++
+	a.round.N++
 	return nil
 }
 
@@ -167,9 +167,9 @@ func (t dbitWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, reg Re
 	}
 	for l, j := range reg.Sampled {
 		if payload[l/8]>>(uint(l)%8)&1 == 1 {
-			a.counts[j]++
+			a.round.Counts[j]++
 		}
 	}
-	a.n++
+	a.round.N++
 	return nil
 }

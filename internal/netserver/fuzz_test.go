@@ -81,8 +81,10 @@ func FuzzFrameStream(f *testing.F) {
 // arbitrary merge-frame body. Like the other frame types the body is
 // attacker-controlled bytes reaching persist.ParseEnvelopeHeader,
 // persist.DecodeEnvelope and MergeEnvelope before any authentication:
-// serve must terminate without panicking, and a rejected body must drop
-// the connection without tallying anything.
+// serve must terminate without panicking, and the round must account for
+// exactly what the root acknowledged — the reports of an applied
+// envelope's ack, and nothing at all for a rejected body, which drops the
+// connection unacknowledged.
 func FuzzMergeFrame(f *testing.F) {
 	proto, err := core.NewBinary(16, 2, 1)
 	if err != nil {
@@ -95,8 +97,8 @@ func FuzzMergeFrame(f *testing.F) {
 	// Seeds: an envelope around a matching tally-only snapshot (the leaf
 	// wire form), one around a full-state snapshot with a user table, a
 	// mismatched-spec envelope, a truncated envelope, an envelope around
-	// garbage, the raw LSS1 image the root refuses, and structured
-	// garbage.
+	// garbage, the raw LSS1 image the root refuses, structured garbage,
+	// and an envelope whose second shard section is one count short.
 	leaf, err := server.NewStream(proto, server.WithShards(1))
 	if err != nil {
 		f.Fatal(err)
@@ -149,6 +151,14 @@ func FuzzMergeFrame(f *testing.F) {
 	f.Add(envelope(4, []byte("LSS1 but not really")))
 	f.Add(tallyOnly)
 	f.Add([]byte{})
+	uneven := *snap
+	uneven.Shards = []persist.Shard{snap.Shards[0], snap.Shards[0]}
+	uneven.Shards[1].Counts = uneven.Shards[1].Counts[1:]
+	unevenEnv, err := persist.AppendEnvelope(nil, &persist.Envelope{Leaf: "leaf", Seq: 5, Snap: &uneven})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(unevenEnv)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stream, err := server.NewStream(proto, server.WithShards(1))
@@ -163,15 +173,29 @@ func FuzzMergeFrame(f *testing.F) {
 		defer srv.Close()
 		wire := AppendMergeFrame(nil, data)
 		wire = AppendFlushFrame(wire)
+		var acks bytes.Buffer
 		c := &tcpConn{
 			srv: srv,
 			br:  bufio.NewReader(bytes.NewReader(wire)),
-			bw:  bufio.NewWriter(io.Discard),
+			bw:  bufio.NewWriter(&acks),
 		}
 		c.serve()
-		// Whatever the bytes were, the stream must still close a coherent
-		// round afterwards.
-		stream.CloseRound()
+		// The stream is fresh, so no envelope can be a duplicate: either
+		// the root acknowledged an apply, or it wrote no ack at all.
+		ack, err := ReadMergeAck(&acks)
+		applied := err == nil && ack.Status == MergeApplied
+		if !applied {
+			if p := stream.Pending(); p != 0 {
+				t.Fatalf("unacknowledged merge body left %d reports pending", p)
+			}
+		}
+		res := stream.CloseRound()
+		switch {
+		case applied && uint64(res.Reports) != ack.Merged:
+			t.Fatalf("root acked %d merged reports, round closed with %d", ack.Merged, res.Reports)
+		case !applied && res.Reports != 0:
+			t.Fatalf("unacknowledged merge body closed a round of %d reports", res.Reports)
+		}
 	})
 }
 

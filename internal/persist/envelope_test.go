@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"strings"
 	"testing"
+
+	"github.com/loloha-ldp/loloha/internal/longitudinal"
 )
 
 func sampleEnvelope() *Envelope {
@@ -16,7 +18,7 @@ func sampleEnvelope() *Envelope {
 		Snap: &Snapshot{
 			SpecHash: 0xFEEDFACE,
 			Round:    4,
-			Shards:   []Shard{{Counts: []int64{5, -2, 0, 9}, N: 7, Tallied: 7}},
+			Shards:   []Shard{{Tally: longitudinal.Tally{Counts: []int64{5, -2, 0, 9}, N: 7}, Tallied: 7}},
 		},
 	}
 }

@@ -19,15 +19,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		HasUsers: true,
 		Shards: []Shard{
 			{
-				Counts:  []int64{1, -2, 3},
-				N:       2,
+				Tally:   longitudinal.Tally{Counts: []int64{1, -2, 3}, N: 2},
 				Tallied: 2,
 				Users: []User{
 					{ID: 1, Reg: longitudinal.Registration{HashSeed: 9}, Reported: true},
 					{ID: 4, Reg: longitudinal.Registration{Sampled: []int{0, 2}}},
 				},
 			},
-			{Counts: []int64{0, 0, 0}},
+			{Tally: longitudinal.Tally{Counts: []int64{0, 0, 0}}},
 		},
 	})
 	if err != nil {
@@ -64,7 +63,7 @@ func FuzzMergeEnvelope(f *testing.F) {
 		SpecHash:  7,
 		Round:     2,
 		HasLedger: true,
-		Shards:    []Shard{{Counts: []int64{4, 0, -1}, N: 3, Tallied: 3}},
+		Shards:    []Shard{{Tally: longitudinal.Tally{Counts: []int64{4, 0, -1}, N: 3}, Tallied: 3}},
 		Ledger:    []LedgerEntry{{Leaf: "a", Seq: 5, Round: 1, Reports: 10}},
 	}
 	seed, err := AppendEnvelope(nil, &Envelope{Leaf: "leaf-0", Round: 2, Seq: 6, Snap: snap})

@@ -103,10 +103,10 @@ type User struct {
 // Shard is one shard section: the open round's tally state plus the
 // shard's registration table (Users is nil in tally-only snapshots).
 type Shard struct {
-	// Counts is the aggregator's exported support-count vector.
-	Counts []int64
-	// N is the report count behind Counts (SnapshotTallier's n).
-	N int
+	// Tally is a copy of the shard aggregator's open round
+	// (Aggregator.Tally): the support counts and the report count N
+	// behind them.
+	longitudinal.Tally
 	// Tallied is the shard's reports-this-round counter (Stream.Pending).
 	Tallied int
 	// Users is the shard's registration table in ascending-ID order; nil

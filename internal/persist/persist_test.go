@@ -17,8 +17,7 @@ func sample() *Snapshot {
 		HasUsers: true,
 		Shards: []Shard{
 			{
-				Counts:  []int64{0, 3, -1, 1 << 40, 5},
-				N:       12,
+				Tally:   longitudinal.Tally{Counts: []int64{0, 3, -1, 1 << 40, 5}, N: 12},
 				Tallied: 12,
 				Users: []User{
 					{ID: 0, Reg: longitudinal.Registration{HashSeed: 99}, Reported: true},
@@ -26,7 +25,7 @@ func sample() *Snapshot {
 					{ID: 1 << 33, Reg: longitudinal.Registration{HashSeed: 1}, Reported: true},
 				},
 			},
-			{Counts: []int64{2, 2, 2, 2, 2}, N: 2, Tallied: 2},
+			{Tally: longitudinal.Tally{Counts: []int64{2, 2, 2, 2, 2}, N: 2}, Tallied: 2},
 		},
 	}
 }
@@ -99,7 +98,7 @@ func int64Bytes(v []int64) []byte {
 }
 
 func TestSnapshotTallyOnly(t *testing.T) {
-	s := &Snapshot{SpecHash: 1, Round: 0, Shards: []Shard{{Counts: []int64{1, 2}, N: 3, Tallied: 3}}}
+	s := &Snapshot{SpecHash: 1, Round: 0, Shards: []Shard{{Tally: longitudinal.Tally{Counts: []int64{1, 2}, N: 3}, Tallied: 3}}}
 	enc := reencode(t, s)
 	dec, err := Decode(enc)
 	if err != nil {
@@ -114,7 +113,7 @@ func TestSnapshotTallyOnly(t *testing.T) {
 // registration table — a freshly started daemon snapshotting before any
 // enrollment must restore as "with users", not silently flip tally-only.
 func TestSnapshotEmptyTableRoundTrips(t *testing.T) {
-	s := &Snapshot{SpecHash: 1, HasUsers: true, Shards: []Shard{{Counts: []int64{0}}}}
+	s := &Snapshot{SpecHash: 1, HasUsers: true, Shards: []Shard{{Tally: longitudinal.Tally{Counts: []int64{0}}}}}
 	dec, err := Decode(reencode(t, s))
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +223,7 @@ func TestSnapshotLedgerRoundTrip(t *testing.T) {
 // ledger — a root snapshotting before its first merge must restore as a
 // root, and the flag must stay distinguishable from a plain leaf image.
 func TestSnapshotEmptyLedgerRoundTrips(t *testing.T) {
-	s := &Snapshot{SpecHash: 1, HasLedger: true, Shards: []Shard{{Counts: []int64{0}}}}
+	s := &Snapshot{SpecHash: 1, HasLedger: true, Shards: []Shard{{Tally: longitudinal.Tally{Counts: []int64{0}}}}}
 	dec, err := Decode(reencode(t, s))
 	if err != nil {
 		t.Fatal(err)

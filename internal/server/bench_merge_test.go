@@ -55,11 +55,7 @@ func BenchmarkMergeTree(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/snapshot-decode/users=%d", fam.name, users), func(b *testing.B) {
 				s := newBenchStream(b, proto, users)
-				snap, err := s.exportState()
-				if err != nil {
-					b.Fatal(err)
-				}
-				enc, err := persist.Append(nil, snap)
+				enc, err := persist.Append(nil, s.exportState())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -275,3 +275,66 @@ func TestMergeEnvelopeRejections(t *testing.T) {
 		t.Fatalf("rejected envelope mutated the root: pending=%d ledger=%v", root.Pending(), root.Ledger())
 	}
 }
+
+// TestMergeEnvelopeRejectsUnevenSections: an envelope whose shard
+// sections disagree on tally length is rejected whole. Neither the codec
+// nor the envelope check equal section lengths, so the root must not add
+// the sections that precede the bad one — or every retry of the same
+// envelope would add them again.
+func TestMergeEnvelopeRejectsUnevenSections(t *testing.T) {
+	const k = 4
+	proto, err := longitudinal.NewLGRR(k, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uneven := func(hasUsers bool) *persist.Snapshot {
+		return &persist.Snapshot{
+			SpecHash: longitudinal.SpecHashOf(proto),
+			HasUsers: hasUsers,
+			Shards: []persist.Shard{
+				{Tally: longitudinal.Tally{Counts: []int64{40, 30, 20, 10}, N: 100}, Tallied: 100},
+				{Tally: longitudinal.Tally{Counts: []int64{1, 1, 1}, N: 3}, Tallied: 3},
+			},
+		}
+	}
+
+	t.Run("merge", func(t *testing.T) {
+		root, err := NewStream(proto, WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Through the wire codec: the bytes a peer can really send.
+		wire, err := persist.AppendEnvelope(nil, &persist.Envelope{Leaf: "leaf-0", Seq: 1, Snap: uneven(false)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := persist.DecodeEnvelope(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for attempt := 1; attempt <= 3; attempt++ {
+			if _, _, err := root.MergeEnvelope(env); err == nil {
+				t.Fatalf("attempt %d: uneven envelope accepted", attempt)
+			}
+			if got := root.Pending(); got != 0 {
+				t.Fatalf("attempt %d: Pending() = %d after a rejected envelope, want 0", attempt, got)
+			}
+			if l := root.Ledger(); l != nil {
+				t.Fatalf("attempt %d: rejected envelope reached the ledger: %v", attempt, l)
+			}
+		}
+		if res := root.CloseRound(); res.Reports != 0 {
+			t.Fatalf("round after rejected envelopes has %d reports, want 0", res.Reports)
+		}
+	})
+
+	t.Run("restore", func(t *testing.T) {
+		var img bytes.Buffer
+		if err := persist.Write(&img, uneven(true)); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := RestoreStream(&img, proto, WithShards(2)); err == nil {
+			t.Fatalf("uneven image restored (pending %d)", s.Pending())
+		}
+	})
+}

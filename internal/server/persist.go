@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
@@ -11,7 +12,7 @@ import (
 )
 
 // Durability and the collector tree. A stream's open-round state is
-// per-shard (counts, n) integer tallies plus the registration tables, all
+// per-shard longitudinal.Tally values plus the registration tables, all
 // of which the persist codec serializes exactly — so a snapshot taken
 // mid-round and restored later ends the round bit-identically to an
 // uninterrupted run, and a root stream that applies the exported tallies
@@ -25,33 +26,18 @@ import (
 // whole-batch fault ErrColumnarMismatch guards on the ingestion path.
 var ErrSnapshotMismatch = errors.New("snapshot does not match the stream's protocol")
 
-// snapshotTallier resolves the aggregator's export/import contract; every
-// aggregator in this repository implements it (wirecontract pins the
-// assertions), but a stream can front an external protocol that doesn't.
-func snapshotTallier(agg longitudinal.Aggregator) (longitudinal.SnapshotTallier, error) {
-	st, ok := agg.(longitudinal.SnapshotTallier)
-	if !ok {
-		return nil, fmt.Errorf("server: aggregator %T does not implement longitudinal.SnapshotTallier", agg)
-	}
-	return st, nil
-}
-
 // Snapshot writes the stream's full open-round state — every shard's
 // tallies, registration table and reported bits, plus the open round's
 // index — as one LSS1 image. It excludes all ingestion for the copy (the
 // same barrier CloseRound takes) but encodes and writes after releasing
 // the locks, so a slow disk never stalls ingestion longer than the copy.
 func (s *Stream) Snapshot(w io.Writer) error {
-	snap, err := s.exportState()
-	if err != nil {
-		return err
-	}
-	return persist.Write(w, snap)
+	return persist.Write(w, s.exportState())
 }
 
 // exportState deep-copies the stream's open-round state under the round
 // barrier.
-func (s *Stream) exportState() (*persist.Snapshot, error) {
+func (s *Stream) exportState() *persist.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := &persist.Snapshot{
@@ -61,12 +47,8 @@ func (s *Stream) exportState() (*persist.Snapshot, error) {
 		Shards:   make([]persist.Shard, len(s.shards)),
 	}
 	for i, sh := range s.shards {
-		st, err := snapshotTallier(sh.agg)
-		if err != nil {
-			return nil, err
-		}
 		dst := &snap.Shards[i]
-		dst.Counts, dst.N = st.ExportTally(nil)
+		dst.Tally = copyTally(sh.agg.Tally())
 		dst.Tallied = sh.tallied
 		dst.Users = make([]persist.User, 0, len(sh.slots))
 		for userID, slot := range sh.slots {
@@ -91,7 +73,12 @@ func (s *Stream) exportState() (*persist.Snapshot, error) {
 		}
 		sort.Slice(snap.Ledger, func(a, b int) bool { return snap.Ledger[a].Leaf < snap.Ledger[b].Leaf })
 	}
-	return snap, nil
+	return snap
+}
+
+// copyTally returns a copy of t that shares no memory with it.
+func copyTally(t *longitudinal.Tally) longitudinal.Tally {
+	return longitudinal.Tally{Counts: slices.Clone(t.Counts), N: t.N}
 }
 
 // RestoreStream rebuilds a stream from a snapshot written by Snapshot.
@@ -100,9 +87,10 @@ func (s *Stream) exportState() (*persist.Snapshot, error) {
 // need not match the original options: users re-partition onto the new
 // shard count deterministically (shard assignment is a pure hash of the
 // user ID), and all tallies land in shard 0, which is exact because
-// CloseRound merges every shard before estimating. Rounds published
-// before the snapshot are not retained: Rounds continues from the
-// snapshot's round index and Round(t) errors for earlier t.
+// CloseRound folds every shard into shard 0 before estimating. An image
+// whose shard sections disagree on tally length restores nothing. Rounds
+// published before the snapshot are not retained: Rounds continues from
+// the snapshot's round index and Round(t) errors for earlier t.
 func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	snap, err := persist.Read(r)
 	if err != nil {
@@ -119,14 +107,11 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 	if !snap.HasUsers {
 		return nil, fmt.Errorf("server: tally-only snapshot cannot restore a stream (no registration tables)")
 	}
-	st0, err := snapshotTallier(s.shards[0].agg)
-	if err != nil {
-		return nil, err
+	if _, err := s.addTallies(snap.Shards); err != nil {
+		return nil, fmt.Errorf("server: restoring tallies: %w", err)
 	}
 	for si := range snap.Shards {
-		src := &snap.Shards[si]
-		for ui := range src.Users {
-			u := &src.Users[ui]
+		for _, u := range snap.Shards[si].Users {
 			sh := s.shardOf(u.ID)
 			if err := s.enroll(sh, u.ID, u.Reg); err != nil {
 				return nil, fmt.Errorf("server: restoring user %d: %w", u.ID, err)
@@ -135,10 +120,6 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 				sh.reported.Set(sh.slots[u.ID], true)
 			}
 		}
-		if err := st0.ImportTally(src.Counts, src.N); err != nil {
-			return nil, fmt.Errorf("server: restoring shard %d tallies: %w", si, err)
-		}
-		s.shards[0].tallied += src.Tallied
 	}
 	if len(snap.Ledger) > 0 {
 		s.ledger = make(map[string]persist.LedgerEntry, len(snap.Ledger))
@@ -150,30 +131,30 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 	return s, nil
 }
 
-// importTallies adds snap's tallies into shard 0. Only tallies move:
-// registration sections, if present, stay with the producing leaf (the
-// root never owns a leaf's users). The caller holds s.mu exclusively, so
-// neither the round close nor ingestion can run and the shard lock is not
-// taken.
-func (s *Stream) importTallies(snap *persist.Snapshot) (int, error) {
+// addTallies adds every section's tally into shard 0 and returns the
+// reports they carry — all of them or, on error, none: the sections are
+// summed into a scratch tally first, so a section that Tally.Add rejects
+// (a wrong length, a negative n) leaves the stream untouched however many
+// sections precede it. Only tallies move: registration sections, if
+// present, are the caller's (the root never owns a leaf's users). The
+// caller holds s.mu exclusively, so neither the round close nor
+// ingestion can run and the shard lock is not taken.
+func (s *Stream) addTallies(sections []persist.Shard) (int, error) {
 	sh := s.shards[0]
-	st, err := snapshotTallier(sh.agg)
-	if err != nil {
-		return 0, err
-	}
-	merged := 0
-	for si := range snap.Shards {
-		src := &snap.Shards[si]
-		if err := st.ImportTally(src.Counts, src.N); err != nil {
-			// The length check precedes any mutation, and every shard
-			// section of one protocol has the same tally length, so a
-			// failure here means nothing was imported.
-			return 0, fmt.Errorf("server: merging shard %d: %w", si, err)
+	round := sh.agg.Tally()
+	sum := longitudinal.Tally{Counts: make([]int64, len(round.Counts))}
+	reports := 0
+	for si := range sections {
+		if err := sum.Add(sections[si].Tally); err != nil {
+			return 0, fmt.Errorf("server: shard section %d: %w", si, err)
 		}
-		sh.tallied += src.Tallied
-		merged += src.Tallied
+		reports += sections[si].Tallied
 	}
-	return merged, nil
+	if err := round.Add(sum); err != nil {
+		return 0, err // unreachable: sum has round's length and n ≥ 0
+	}
+	sh.tallied += reports
+	return reports, nil
 }
 
 // MergeEnvelope applies one collector-tree merge envelope exactly once —
@@ -206,7 +187,7 @@ func (s *Stream) MergeEnvelope(env *persist.Envelope) (int, bool, error) {
 		s.ledger[env.Leaf] = entry
 		return 0, true, nil
 	}
-	merged, err := s.importTallies(env.Snap)
+	merged, err := s.addTallies(env.Snap.Shards)
 	if err != nil {
 		return 0, false, err
 	}
@@ -270,26 +251,13 @@ func (s *Stream) Ledger() []persist.LedgerEntry {
 func (s *Stream) CloseRoundExport() (RoundResult, *persist.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	target := s.shards[0].agg
-	if s.merge != nil {
-		target = s.merge
+	// Fold first so the export sees the full round; the fold inside
+	// closeRoundLocked then finds shards 1..S−1 already empty.
+	snap := &persist.Snapshot{
+		SpecHash: s.specHash,
+		Round:    s.baseRound + len(s.results),
+		Shards:   []persist.Shard{{Tally: copyTally(s.foldShards())}},
 	}
-	st, err := snapshotTallier(target)
-	if err != nil {
-		return RoundResult{}, nil, err
-	}
-	round := s.baseRound + len(s.results)
-	// Merge the shard tallies into the round target first — exactly what
-	// closeRoundLocked does — so the export sees the full round; EndRound
-	// inside closeRoundLocked then finds the counts already merged, which
-	// is idempotent (merging moves counts, it does not copy them).
-	if s.merge != nil {
-		for _, sh := range s.shards {
-			s.merge.Merge(sh.agg)
-		}
-	}
-	snap := &persist.Snapshot{SpecHash: s.specHash, Round: round, Shards: make([]persist.Shard, 1)}
-	snap.Shards[0].Counts, snap.Shards[0].N = st.ExportTally(nil)
 	res := s.closeRoundLocked(0)
 	snap.Shards[0].Tallied = res.Reports
 	return res, snap, nil

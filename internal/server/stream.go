@@ -33,11 +33,10 @@ import (
 // integer counts.
 //
 // Internally ingestion is striped: users hash onto shards, each with its
-// own lock, enrollment/report maps and aggregator fork, so concurrent
-// Ingest calls from different shards never contend. CloseRound acts as a
-// round barrier — it excludes all ingestion, merges the shard tallies and
-// publishes the estimates. With a non-mergeable aggregator the service
-// degrades to a single shard.
+// own lock, enrollment/report maps and aggregator, so concurrent Ingest
+// calls from different shards never contend. CloseRound acts as a round
+// barrier — it excludes all ingestion, folds every shard's
+// longitudinal.Tally into shard 0 and publishes the estimates.
 type Stream struct {
 	proto longitudinal.Protocol
 	// tallier is the one ingestion path: it validates registrations at
@@ -54,7 +53,6 @@ type Stream struct {
 	// Enroll, Ingest and the published-history readers hold it shared
 	// (results and subscribers are only mutated under the exclusive lock).
 	mu     sync.RWMutex
-	merge  longitudinal.MergeableAggregator // nil when single-shard
 	shards []*streamShard
 
 	// scratch pools the tally loop's per-shard index lists so
@@ -85,7 +83,7 @@ type Stream struct {
 	// Simulation cohort (nil unless WithCohort). Collect splits the users
 	// into the contiguous blocks [cohortBounds[i]..cohortBounds[i+1]),
 	// fixed at construction: block i reports into cohortBufs[i] and
-	// tallies on shards[i]. A user never changes fork, so per-user
+	// tallies on shards[i]. A user never changes shard, so per-user
 	// aggregator state (LOLOHA's support table) is built once.
 	clients      []longitudinal.AppendReporter
 	cohortBounds []int
@@ -239,27 +237,13 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		pp:       cfg.pp,
 		roundCap: cfg.roundCap,
 	}
-	agg := proto.NewAggregator()
-	shards := cfg.shards
-	ma, mergeable := agg.(longitudinal.MergeableAggregator)
-	if shards < 1 || !mergeable {
-		shards = 1
-	}
-	if shards > 1 {
-		s.merge = ma
-	}
-	s.shards = make([]*streamShard, shards)
+	s.shards = make([]*streamShard, cfg.shards)
 	for i := range s.shards {
-		sh := &streamShard{
+		s.shards[i] = &streamShard{
+			agg:      proto.NewAggregator(),
 			slots:    make(map[int]int),
 			reported: bitset.New(0),
 		}
-		if s.merge != nil {
-			sh.agg = ma.Fork()
-		} else {
-			sh.agg = agg
-		}
-		s.shards[i] = sh
 	}
 	s.scratch.New = func() any {
 		return &batchScratch{perShard: make([][]int, len(s.shards))}
@@ -267,12 +251,13 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 
 	if cfg.hh != nil {
 		hhCfg := *cfg.hh
+		domain := s.shards[0].agg.EstimateDomain()
 		if hhCfg.K == 0 {
-			hhCfg.K = agg.EstimateDomain()
+			hhCfg.K = domain
 		}
-		if hhCfg.K != agg.EstimateDomain() {
+		if hhCfg.K != domain {
 			return nil, fmt.Errorf("server: heavy-hitter tracker over %d values, protocol estimates %d",
-				hhCfg.K, agg.EstimateDomain())
+				hhCfg.K, domain)
 		}
 		tracker, err := heavyhitter.New(hhCfg)
 		if err != nil {
@@ -675,19 +660,29 @@ func (s *Stream) CloseRound() RoundResult {
 	return s.closeRoundLocked(0)
 }
 
-// closeRoundLocked merges shard tallies, estimates, post-processes and
+// foldShards moves the open round of shards 1..S−1 into shard 0, whose
+// tally then holds the whole round: tallies are integer counts, so the
+// fold is exact in any order. Returns shard 0's tally. Caller holds s.mu
+// exclusively.
+func (s *Stream) foldShards() *longitudinal.Tally {
+	round := s.shards[0].agg.Tally()
+	for _, sh := range s.shards[1:] {
+		t := sh.agg.Tally()
+		if err := round.Add(*t); err != nil {
+			// Every shard's aggregator comes from the same NewAggregator.
+			panic(fmt.Sprintf("server: folding shard tallies of %T: %v", sh.agg, err))
+		}
+		t.Reset()
+	}
+	return round
+}
+
+// closeRoundLocked folds the shard tallies, estimates, post-processes and
 // publishes. extraReports counts reports tallied outside the shard maps
 // (the cohort path). Caller holds s.mu exclusively.
 func (s *Stream) closeRoundLocked(extraReports int) RoundResult {
-	var raw []float64
-	if s.merge != nil {
-		for _, sh := range s.shards {
-			s.merge.Merge(sh.agg)
-		}
-		raw = s.merge.EndRound()
-	} else {
-		raw = s.shards[0].agg.EndRound()
-	}
+	s.foldShards()
+	raw := s.shards[0].agg.EndRound()
 	reports := extraReports
 	for _, sh := range s.shards {
 		reports += sh.tallied

@@ -13,10 +13,9 @@
 //     and carry the same assertion for it.
 //   - The concrete client type returned by the protocol's NewClient must
 //     implement AppendReporter and carry its assertion.
-//   - The concrete aggregator returned by the protocol's NewAggregator
-//     must implement SnapshotTallier (the durability contract:
-//     snapshot/restore and collector-tree merges serialize tally state
-//     through it) and carry its assertion.
+//
+// Aggregators need no rule: their round-state accessor (Tally) is a
+// method of the Aggregator interface itself, so the compiler enforces it.
 //
 // Resolution is intra-package and one level deep: Build/NewClient bodies
 // whose returns have concrete static types (the idiom everywhere in this
@@ -101,7 +100,6 @@ func checkFamily(pass *analysis.Pass, asserts []assertion, reported map[string]b
 	specIface := lookupIface(registry, "SpecProtocol")
 	tallyIface := lookupIface(registry, "TallyProtocol")
 	reporterIface := lookupIface(registry, "AppendReporter")
-	snapIface := lookupIface(registry, "SnapshotTallier")
 
 	for _, proto := range resolveReturns(pass, build) {
 		key := proto.String()
@@ -124,20 +122,6 @@ func checkFamily(pass *analysis.Pass, asserts []assertion, reported map[string]b
 				pass.Reportf(call.Pos(), "%s does not implement TallyProtocol: a Stream cannot ingest it; implement WireTallier", proto)
 			case !asserted(asserts, tallyIface, proto):
 				pass.Reportf(call.Pos(), "missing compile-time assertion: var _ TallyProtocol = (%s)(nil)", proto)
-			}
-		}
-		if snapIface != nil {
-			if agg := resolveMethodReturn(pass, proto, "NewAggregator"); agg != nil {
-				akey := agg.String() + " snapshot"
-				if !reported[akey] {
-					reported[akey] = true
-					switch {
-					case !implements(agg, snapIface):
-						pass.Reportf(call.Pos(), "aggregator %s does not implement SnapshotTallier: this family cannot snapshot/restore or merge across a collector tree; implement ExportTally/ImportTally", agg)
-					case !asserted(asserts, snapIface, agg):
-						pass.Reportf(call.Pos(), "missing compile-time assertion: var _ SnapshotTallier = %s", zeroValueOf(agg))
-					}
-				}
 			}
 		}
 		if reporterIface == nil {
@@ -276,18 +260,12 @@ func resolveReturns(pass *analysis.Pass, build ast.Expr) []types.Type {
 	return out
 }
 
-// resolveClientType finds the concrete type returned by proto's NewClient
-// by reading its declaration in this package.
-func resolveClientType(pass *analysis.Pass, proto types.Type) types.Type {
-	return resolveMethodReturn(pass, proto, "NewClient")
-}
-
-// resolveMethodReturn finds the concrete static type of the first result
-// returned by proto's named method, by reading the method's declaration in
+// resolveClientType finds the concrete static type of the first result
+// returned by proto's NewClient, by reading the method's declaration in
 // this package. Returns nil when the method or its body is elsewhere, or
 // when every return is interface-typed (unresolvable, so skipped).
-func resolveMethodReturn(pass *analysis.Pass, proto types.Type, method string) types.Type {
-	obj, _, _ := types.LookupFieldOrMethod(proto, true, pass.Pkg, method)
+func resolveClientType(pass *analysis.Pass, proto types.Type) types.Type {
+	obj, _, _ := types.LookupFieldOrMethod(proto, true, pass.Pkg, "NewClient")
 	fn, ok := obj.(*types.Func)
 	if !ok {
 		return nil
@@ -337,19 +315,6 @@ func forEachReturn(body *ast.BlockStmt, visit func(*ast.ReturnStmt)) {
 		}
 		return true
 	})
-}
-
-// zeroValueOf renders the spelling of a zero value of t for use in an
-// assertion suggestion: `T{}` for structs (talliers are value types in this
-// repository), `(*T)(nil)` for pointers, `T(0)`-less bare name otherwise.
-func zeroValueOf(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		return "(" + p.String() + ")(nil)"
-	}
-	if _, ok := t.Underlying().(*types.Struct); ok {
-		return t.String() + "{}"
-	}
-	return t.String()
 }
 
 func firstOfTuple(t types.Type) types.Type {

@@ -41,10 +41,12 @@ type Client = longitudinal.Client
 // Aggregator is the server side of a longitudinal protocol.
 type Aggregator = longitudinal.Aggregator
 
-// MergeableAggregator is an Aggregator that supports sharded parallel
-// collection via Fork and Merge. Every aggregator in this repository
-// implements it.
-type MergeableAggregator = longitudinal.MergeableAggregator
+// Tally is an aggregator's open round: integer support counts plus the
+// report count behind them, returned by Aggregator.Tally. A Stream shards,
+// snapshots, restores and merges rounds purely by adding and resetting
+// Tally values, so an external aggregator must keep its whole round state
+// in one.
+type Tally = longitudinal.Tally
 
 // Protocol binds clients and aggregators together.
 type Protocol = longitudinal.Protocol
