@@ -81,8 +81,12 @@ func TestCounterMatchesBitwiseAdd(t *testing.T) {
 		for _, count := range []int{1, counterCap - 1, counterCap, counterCap + 1, 1000} {
 			for _, density := range []int{halfDense, allSet, sparse} {
 				masks := randomMasks(r, n, count, density)
-				countMasks(t, n, masks, 0)
-				countMasks(t, n, masks, 97)
+				// flushAt 1..9 flushes with every count of held,
+				// not yet folded masks (0–7); 0 flushes only when
+				// full, at 255 = 31·8 + 7.
+				for _, flushAt := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 97} {
+					countMasks(t, n, masks, flushAt)
+				}
 			}
 		}
 	}
@@ -138,6 +142,9 @@ func FuzzCounter(f *testing.F) {
 	f.Add([]byte{65, 0, 0xFF, 0x01, 0x80})
 	f.Add([]byte{1, 3, 0xAA})
 	f.Add([]byte{200, 17, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	for flushAt := byte(1); flushAt <= 8; flushAt++ {
+		f.Add([]byte{130, flushAt, 0x5A, 0xC3, 0xFF, 0x00, 0x81})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

@@ -407,6 +407,24 @@ func TestRootDeadlinePartialRound(t *testing.T) {
 	}
 }
 
+// waitTrackedConns polls, for at most five seconds, until s tracks at
+// least n live connections.
+func waitTrackedConns(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		s.mu.Lock()
+		got := len(s.conns)
+		s.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server tracks %d connections after 5s, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDrainAbandonedShipRedelivered is the drain/restart corner: the
 // root's Drain deadline abandons the leaf's merge connection before the
 // envelope is consumed, so the ship fails with delivery unknown — and the
@@ -452,7 +470,10 @@ func TestDrainAbandonedShipRedelivered(t *testing.T) {
 
 	// Drain the root with an immediate deadline: the leaf's established
 	// merge connection is abandoned unread, so the envelope written into
-	// it is never acked.
+	// it is never acked. The root's accept loop tracks that connection
+	// asynchronously, so wait for it first: a Drain that runs before
+	// has no live connection to abandon.
+	waitTrackedConns(t, rootSrv1, 1)
 	if err := rootSrv1.Drain(time.Millisecond); err == nil {
 		t.Fatal("Drain with a live idle connection met its deadline, want abandonment error")
 	}

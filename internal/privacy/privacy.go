@@ -18,10 +18,15 @@ import (
 // protocol's worst case), after which the loss is capped: by sequential
 // composition (Prop. 2.3) a mechanism that can only memoize maxUnits
 // distinct outputs cannot leak more than maxUnits·ε∞.
+//
+// The units seen so far are a bitset of ⌈maxUnits/64⌉ words, so a
+// LOLOHA client (units are hash cells in [0, g)) holds one word at
+// g ≤ 64. A unit past maxUnits still counts: the bitset grows to hold it.
 type Ledger struct {
 	epsPerUnit float64
 	maxUnits   int
-	seen       map[int]struct{}
+	units      int      // distinct units charged
+	seen       []uint64 // bit u is set once unit u has been charged
 }
 
 // NewLedger returns a fresh ledger charging epsPerUnit per distinct unit
@@ -37,27 +42,48 @@ func NewLedger(epsPerUnit float64, maxUnits int) *Ledger {
 	return &Ledger{
 		epsPerUnit: epsPerUnit,
 		maxUnits:   maxUnits,
-		seen:       make(map[int]struct{}),
+		seen:       make([]uint64, (maxUnits+63)/64),
 	}
 }
 
-// Charge records that the report consumed the memoized unit. New units bill
-// epsPerUnit; repeated units are free (memoization reuses the response).
+// Charge records that the report consumed the memoized unit, which must
+// be non-negative. New units bill epsPerUnit; repeated units are free
+// (memoization reuses the response).
+//
+//loloha:noalloc
 func (l *Ledger) Charge(unit int) {
-	l.seen[unit] = struct{}{}
+	if unit < 0 {
+		panic(fmt.Sprintf("privacy: negative unit %d", unit))
+	}
+	w := unit >> 6
+	//loloha:alloc-ok cold: only a unit past maxUnits grows the bitset
+	if w >= len(l.seen) {
+		l.grow(w + 1)
+	}
+	bit := uint(unit) & 63
+	l.units += int(^l.seen[w] >> bit & 1)
+	l.seen[w] |= 1 << bit
+}
+
+// grow extends the bitset to at least words words, doubling so that a
+// run of ever larger units costs amortized constant time.
+func (l *Ledger) grow(words int) {
+	seen := make([]uint64, max(words, 2*len(l.seen)))
+	copy(seen, l.seen)
+	l.seen = seen
 }
 
 // Units returns the number of distinct units charged so far.
-func (l *Ledger) Units() int { return len(l.seen) }
+//
+//loloha:noalloc
+func (l *Ledger) Units() int { return l.units }
 
 // Spent returns the longitudinal privacy loss ε̌ accumulated so far:
 // min(distinct units, maxUnits) · epsPerUnit.
+//
+//loloha:noalloc
 func (l *Ledger) Spent() float64 {
-	u := len(l.seen)
-	if u > l.maxUnits {
-		u = l.maxUnits
-	}
-	return float64(u) * l.epsPerUnit
+	return float64(min(l.units, l.maxUnits)) * l.epsPerUnit
 }
 
 // Cap returns the worst-case loss maxUnits · epsPerUnit (the Table 1

@@ -68,6 +68,93 @@ func TestLedgerQuickSpentEqualsDistinct(t *testing.T) {
 	}
 }
 
+// ledgerMatchesMap charges units into a ledger with worst case maxUnits
+// and into a map, and reports the first disagreement on Units or Spent.
+func ledgerMatchesMap(t *testing.T, maxUnits int, units []int) {
+	t.Helper()
+	const eps = 0.375
+	l := NewLedger(eps, maxUnits)
+	ref := make(map[int]struct{})
+	for i, u := range units {
+		l.Charge(u)
+		ref[u] = struct{}{}
+		if l.Units() != len(ref) {
+			t.Fatalf("maxUnits=%d after unit %d (#%d): Units = %d, want %d", maxUnits, u, i, l.Units(), len(ref))
+		}
+		want := eps * float64(min(len(ref), maxUnits))
+		if l.Spent() != want {
+			t.Fatalf("maxUnits=%d after unit %d (#%d): Spent = %v, want %v", maxUnits, u, i, l.Spent(), want)
+		}
+	}
+}
+
+// TestLedgerQuickMatchesMap checks Charge/Units/Spent against a map of
+// the units seen, with units drawn on both sides of maxUnits so the
+// bitset's growth path runs.
+func TestLedgerQuickMatchesMap(t *testing.T) {
+	f := func(maxRaw uint8, raw []uint16) bool {
+		maxUnits := int(maxRaw)%130 + 1
+		units := make([]int, len(raw))
+		for i, r := range raw {
+			units[i] = int(r) % (3*maxUnits + 130)
+		}
+		ledgerMatchesMap(t, maxUnits, units)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestLedgerGrowsPastMaxUnits(t *testing.T) {
+	// One word covers maxUnits = 2; units far past it grow the bitset
+	// and keep everything charged before.
+	ledgerMatchesMap(t, 2, []int{1, 0, 1, 64, 1000, 63, 64, 5000, 0, 129, 1000})
+}
+
+func TestLedgerZeroAlloc(t *testing.T) {
+	l := NewLedger(1, 360)
+	allocs := testing.AllocsPerRun(10, func() {
+		for u := 0; u < 360; u += 7 {
+			l.Charge(u)
+		}
+		_ = l.Units()
+		_ = l.Spent()
+	})
+	if allocs != 0 {
+		t.Errorf("Charge of in-range units allocates %v times per run, want 0", allocs)
+	}
+}
+
+func TestLedgerRejectsNegativeUnit(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative unit did not panic")
+		}
+	}()
+	NewLedger(1, 4).Charge(-1)
+}
+
+// FuzzLedger checks the ledger against a map reference: the first byte
+// picks maxUnits, and each following pair of bytes is one unit (up to
+// 65535, far past any maxUnits, so growth runs too).
+func FuzzLedger(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{63, 0, 63, 0, 64, 0, 65, 0, 63})
+	f.Add([]byte{200, 0xFF, 0xFF, 0, 7, 0x01, 0x00, 0, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		maxUnits := int(data[0]) + 1
+		units := make([]int, 0, len(data)/2)
+		for i := 1; i+1 < len(data); i += 2 {
+			units = append(units, int(data[i])<<8|int(data[i+1]))
+		}
+		ledgerMatchesMap(t, maxUnits, units)
+	})
+}
+
 func TestLedgerPanicsOnBadConstruction(t *testing.T) {
 	for _, c := range []struct {
 		eps   float64

@@ -109,9 +109,10 @@ var trustTable = []trustRule{
 	// sized by NewCounter.
 	{"internal/bitset", "Counter", "Add"},
 	{"internal/bitset", "Counter", "FlushInto"},
-	// Privacy ledger: Charge is one amortized map write.
+	// privacy's annotated surface: Charge sets a bit in the ledger's
+	// bitset (checked in privacy's own pass; its growth branch past
+	// maxUnits is an alloc-ok cold path).
 	{"internal/privacy", "Ledger", "Charge"},
-	{"internal/privacy", "Ledger", "Spent"},
 	// Universal hashing: stateless value types.
 	{"internal/domain", "Bucketizer", "Bucket"},
 	{"internal/domain", "Bucketizer", "BucketWidth"},
