@@ -1,11 +1,9 @@
 // Benchmarks for the client-side report-generation path — the half of the
-// pipeline BENCH_ingest.json does not cover. Three row kinds per protocol
+// pipeline BENCH_ingest.json does not cover. Two row kinds per protocol
 // family and domain size:
 //
-//   - report: the boxed compatibility path — Client.Report(v) materializes
-//     a Report value, AppendBinary serializes it into a reused buffer.
-//   - append: the fast path — AppendReport writes wire bytes straight into
-//     a reused buffer; sparse families skip-sample, zero allocations.
+//   - append: AppendReport writes wire bytes straight into a reused
+//     buffer; sparse families skip-sample, zero allocations.
 //   - ingest: a full generate→ingest round trip per op through a Stream on
 //     the tally-direct path, the end-to-end client+server cost.
 //
@@ -61,22 +59,8 @@ func reportBenchProtocols(b *testing.B, k int) []struct {
 func BenchmarkReportPath(b *testing.B) {
 	for _, k := range []int{64, 256, 1024} {
 		for _, tc := range reportBenchProtocols(b, k) {
-			b.Run(fmt.Sprintf("%s/k=%d/report", tc.name, k), func(b *testing.B) {
-				cl := tc.proto.NewClient(1)
-				var buf []byte
-				// Warm the memoized caches for the working set.
-				for v := 0; v < reportBenchValues; v++ {
-					buf = cl.Report(v % k).AppendBinary(buf[:0])
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buf = cl.Report(i % reportBenchValues).AppendBinary(buf[:0])
-				}
-				benchSink = buf
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reports/s")
-			})
 			b.Run(fmt.Sprintf("%s/k=%d/append", tc.name, k), func(b *testing.B) {
-				cl := tc.proto.NewClient(1).(loloha.AppendReporter)
+				cl := tc.proto.NewClient(1)
 				buf := make([]byte, 0, (k+7)/8+16)
 				for v := 0; v < reportBenchValues; v++ {
 					buf = cl.AppendReport(buf[:0], v%k)
@@ -104,9 +88,9 @@ func BenchmarkReportIngestPath(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				clients := make([]loloha.AppendReporter, n)
+				clients := make([]loloha.Client, n)
 				for u := range clients {
-					clients[u] = tc.proto.NewClient(uint64(u) + 1).(loloha.AppendReporter)
+					clients[u] = tc.proto.NewClient(uint64(u) + 1)
 					if err := stream.Enroll(u, clients[u].WireRegistration()); err != nil {
 						b.Fatal(err)
 					}

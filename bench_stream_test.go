@@ -25,7 +25,6 @@ func BenchmarkIngestPath(b *testing.B) {
 	if workers < 4 {
 		workers = 4 // still measures lock contention on small boxes
 	}
-	type seeded interface{ HashSeed() uint64 }
 	for _, shards := range []int{1, 2, 4, 8} {
 		proto, err := loloha.NewBiLOLOHA(k, 2, 1)
 		if err != nil {
@@ -39,11 +38,11 @@ func BenchmarkIngestPath(b *testing.B) {
 		payloads := make([][]byte, n)
 		for u := 0; u < n; u++ {
 			cl := proto.NewClient(uint64(u))
-			if err := stream.Enroll(u, loloha.Registration{HashSeed: cl.(seeded).HashSeed()}); err != nil {
+			if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
 				b.Fatal(err)
 			}
 			userIDs[u] = u
-			payloads[u] = cl.Report(u % k).AppendBinary(nil)
+			payloads[u] = cl.AppendReport(nil, u%k)
 		}
 		// Each worker owns a contiguous block of users and ingests it
 		// either one report or one batch slice at a time.
@@ -104,7 +103,6 @@ func BenchmarkIngestColumnar(b *testing.B) {
 	if workers < 4 {
 		workers = 4
 	}
-	type seeded interface{ HashSeed() uint64 }
 	for _, shards := range []int{1, 2, 4, 8} {
 		proto, err := loloha.NewBiLOLOHA(k, 2, 1)
 		if err != nil {
@@ -127,10 +125,10 @@ func BenchmarkIngestColumnar(b *testing.B) {
 		var encoded [][]byte
 		for u := 0; u < n; u++ {
 			cl := proto.NewClient(uint64(u))
-			if err := stream.Enroll(u, loloha.Registration{HashSeed: cl.(seeded).HashSeed()}); err != nil {
+			if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
 				b.Fatal(err)
 			}
-			if err := w.Add(u, cl.Report(u%k).AppendBinary(nil)); err != nil {
+			if err := w.Add(u, cl.AppendReport(nil, u%k)); err != nil {
 				b.Fatal(err)
 			}
 			if w.Count() == batchSize || u == n-1 {

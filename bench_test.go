@@ -85,7 +85,7 @@ func BenchmarkTable1Communication(b *testing.B) {
 			var buf []byte
 			bytesPerReport := 0
 			for i := 0; i < b.N; i++ {
-				buf = cl.Report(i % k).AppendBinary(buf[:0])
+				buf = cl.AppendReport(buf[:0], i%k)
 				bytesPerReport = len(buf)
 			}
 			benchSink = buf
@@ -218,16 +218,16 @@ func BenchmarkClientReport(b *testing.B) {
 				b.Fatal(err)
 			}
 			cl := proto.NewClient(1)
-			var rep loloha.Report
+			var buf []byte
 			for i := 0; i < b.N; i++ {
-				rep = cl.Report(i % k)
+				buf = cl.AppendReport(buf[:0], i%k)
 			}
-			benchSink = rep
+			benchSink = buf
 		})
 	}
 }
 
-func BenchmarkAggregatorAdd(b *testing.B) {
+func BenchmarkAggregatorTallyWire(b *testing.B) {
 	const k = 360
 	for name, f := range map[string]func() (loloha.Protocol, error){
 		"BiLOLOHA": func() (loloha.Protocol, error) { return loloha.NewBiLOLOHA(k, 2, 1) },
@@ -240,17 +240,22 @@ func BenchmarkAggregatorAdd(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Pre-generate a pool of reports from a modest user set so Add
-			// dominates the measurement.
+			// Pre-generate a pool of payloads from a modest user set so the
+			// tally dominates the measurement.
 			const pool = 256
-			reports := make([]loloha.Report, pool)
+			payloads := make([][]byte, pool)
+			regs := make([]loloha.Registration, pool)
 			for u := 0; u < pool; u++ {
-				reports[u] = proto.NewClient(uint64(u)).Report(u % k)
+				cl := proto.NewClient(uint64(u))
+				payloads[u], regs[u] = cl.AppendReport(nil, u%k), cl.WireRegistration()
 			}
+			tallier := proto.(loloha.TallyProtocol).WireTallier()
 			agg := proto.NewAggregator()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				agg.Add(i%pool, reports[i%pool])
+				if err := tallier.TallyWire(agg, i%pool, payloads[i%pool], regs[i%pool]); err != nil {
+					b.Fatal(err)
+				}
 			}
 			benchSink = agg
 		})
@@ -320,11 +325,11 @@ func BenchmarkIngestParallel(b *testing.B) {
 			}
 			payloads := make([][]byte, n)
 			for u := 0; u < n; u++ {
-				cl := proto.NewClient(uint64(u)).(*core.Client)
-				if err := col.Enroll(u, loloha.Registration{HashSeed: cl.HashSeed()}); err != nil {
+				cl := proto.NewClient(uint64(u))
+				if err := col.Enroll(u, cl.WireRegistration()); err != nil {
 					b.Fatal(err)
 				}
-				payloads[u] = cl.ReportValue(u % k).AppendBinary(nil)
+				payloads[u] = cl.AppendReport(nil, u%k)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -350,35 +355,8 @@ func BenchmarkIngestParallel(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benches (DESIGN.md): support cache, exact IRR calibration, hash
-// family choice.
-
-func BenchmarkAblationSupportCache(b *testing.B) {
-	const k = 360
-	for name, opts := range map[string][]core.Option{
-		"cached":   nil,
-		"uncached": {core.WithoutSupportCache()},
-	} {
-		opts := opts
-		b.Run(name, func(b *testing.B) {
-			proto, err := core.New(k, 4, 2, 1, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const pool = 256
-			reports := make([]core.Report, pool)
-			for u := 0; u < pool; u++ {
-				reports[u] = proto.NewClient(uint64(u)).(*core.Client).ReportValue(u % k)
-			}
-			agg := proto.NewServer()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg.AddReport(i%pool, reports[i%pool])
-			}
-			benchSink = agg
-		})
-	}
-}
+// Ablation benches (DESIGN.md): exact IRR calibration, hash family
+// choice.
 
 func BenchmarkAblationIRRCalibration(b *testing.B) {
 	// Same (ε∞, ε1, g); the exact calibration should show a lower V* and
@@ -465,9 +443,11 @@ func BenchmarkAblationHashFamily(b *testing.B) {
 			}
 			r := randsrc.NewSeeded(1)
 			cl := proto.NewClient(1)
+			var buf []byte
 			for i := 0; i < b.N; i++ {
-				benchSink = cl.Report(r.Intn(k))
+				buf = cl.AppendReport(buf[:0], r.Intn(k))
 			}
+			benchSink = buf
 		})
 	}
 }

@@ -137,14 +137,9 @@ func loadgen(o loadgenOptions) error {
 				}
 			}()
 			res := &results[w]
-			clients := make([]longitudinal.AppendReporter, hi-lo)
+			clients := make([]longitudinal.Client, hi-lo)
 			for i := range clients {
-				cl, ok := proto.NewClient(o.seed + uint64(lo+i)).(longitudinal.AppendReporter)
-				if !ok {
-					res.err = fmt.Errorf("%s client lacks the append fast path", proto.Name())
-					return
-				}
-				clients[i] = cl
+				clients[i] = proto.NewClient(o.seed + uint64(lo+i))
 			}
 			push, err := newPusher(o, proto)
 			if res.err = err; res.err != nil {
@@ -316,7 +311,7 @@ func closeRound(addr string) (int, error) {
 // reports, which it packs into columnar batches of -batch reports. flush
 // ships any partial batch and returns what the daemon acknowledged.
 type pusher interface {
-	enroll(firstID int, clients []longitudinal.AppendReporter) error
+	enroll(firstID int, clients []longitudinal.Client) error
 	report(userID int, payload []byte) error
 	flush() (sent, rejected uint64, err error)
 	close()
@@ -356,7 +351,7 @@ type httpPusher struct {
 	rejected uint64
 }
 
-func (p *httpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) error {
+func (p *httpPusher) enroll(firstID int, clients []longitudinal.Client) error {
 	for i, cl := range clients {
 		reg := cl.WireRegistration()
 		body, err := json.Marshal(map[string]any{
@@ -442,7 +437,7 @@ type tcpPusher struct {
 	acked netserver.Ack // counters are connection-lifetime; diff per flush
 }
 
-func (p *tcpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) error {
+func (p *tcpPusher) enroll(firstID int, clients []longitudinal.Client) error {
 	p.buf = p.buf[:0]
 	for i, cl := range clients {
 		var err error

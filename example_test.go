@@ -109,17 +109,16 @@ func ExampleStream_IngestBatch() {
 		panic(err)
 	}
 	// Two devices:
-	type seeded interface{ HashSeed() uint64 }
 	var userIDs []int
 	var payloads [][]byte
 	for u := 0; u < 2; u++ {
 		client := proto.NewClient(uint64(7 + u))
 		// Registration metadata travels once; payloads every round.
-		if err := stream.Enroll(u, loloha.Registration{HashSeed: client.(seeded).HashSeed()}); err != nil {
+		if err := stream.Enroll(u, client.WireRegistration()); err != nil {
 			panic(err)
 		}
 		userIDs = append(userIDs, u)
-		payloads = append(payloads, client.Report(3).AppendBinary(nil))
+		payloads = append(payloads, client.AppendReport(nil, 3))
 	}
 	if err := stream.IngestBatch(userIDs, payloads); err != nil {
 		panic(err)

@@ -130,12 +130,9 @@ func run() error {
 		}
 		defer conns[i].Close()
 	}
-	clients := make([]longitudinal.AppendReporter, users)
+	clients := make([]longitudinal.Client, users)
 	for u := range clients {
-		cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-		if !ok {
-			return fmt.Errorf("%s client does not implement AppendReporter", proto.Name())
-		}
+		cl := proto.NewClient(uint64(u))
 		clients[u] = cl
 		reg := cl.WireRegistration()
 		if err := ref.Enroll(u, reg); err != nil {

@@ -80,7 +80,7 @@ func run() error {
 	// Client side: enroll everyone over their transport, then report a
 	// shifting distribution — value 7 dominates early, value 21 takes
 	// over halfway through — and watch the estimates follow.
-	clients := make([]longitudinal.AppendReporter, users)
+	clients := make([]longitudinal.Client, users)
 	conn, err := net.Dial("tcp", tl.Addr().String())
 	if err != nil {
 		return err
@@ -88,10 +88,7 @@ func run() error {
 	defer conn.Close()
 	var frames []byte
 	for u := range clients {
-		cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-		if !ok {
-			return fmt.Errorf("%s client does not implement AppendReporter", proto.Name())
-		}
+		cl := proto.NewClient(uint64(u))
 		clients[u] = cl
 		reg := cl.WireRegistration()
 		if u < users/2 {

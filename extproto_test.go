@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
@@ -47,13 +46,10 @@ var (
 
 type histClient struct{ k int }
 
-func (c *histClient) Report(v int) loloha.Report { return histReport{v: v} }
-func (c *histClient) Charge(v int)               {}
-func (c *histClient) PrivacySpent() float64      { return math.Inf(1) } // no privacy at all
-
-type histReport struct{ v int }
-
-func (r histReport) AppendBinary(dst []byte) []byte { return append(dst, byte(r.v)) }
+func (c *histClient) AppendReport(dst []byte, v int) []byte { return append(dst, byte(v)) }
+func (c *histClient) WireRegistration() loloha.Registration { return loloha.Registration{} }
+func (c *histClient) Charge(v int)                          {}
+func (c *histClient) PrivacySpent() float64                 { return math.Inf(1) } // no privacy at all
 
 type histTallier struct{ k int }
 
@@ -84,10 +80,6 @@ type histAgg struct {
 	round loloha.Tally
 }
 
-func (a *histAgg) Add(userID int, rep loloha.Report) {
-	a.round.Counts[rep.(histReport).v]++
-	a.round.N++
-}
 func (a *histAgg) EstimateDomain() int  { return a.k }
 func (a *histAgg) Tally() *loloha.Tally { return &a.round }
 func (a *histAgg) EndRound() []float64 {
@@ -108,7 +100,7 @@ func runExternalProtocol(t *testing.T, proto loloha.Protocol) {
 	payloads := make([][]byte, n)
 	for u := 0; u < n; u++ {
 		userIDs[u] = u
-		payloads[u] = proto.NewClient(0).Report(u % 4).AppendBinary(nil)
+		payloads[u] = proto.NewClient(0).AppendReport(nil, u%4)
 	}
 	// The same batch through the default shard count and a serial stream:
 	// the shard fold must publish identical estimates.
@@ -158,21 +150,6 @@ func TestExternalWireProtocolRoundTrip(t *testing.T) {
 func TestExternalProtocolWithoutTallierRejected(t *testing.T) {
 	if _, err := loloha.NewStream(&histBase{k: 10, name: "ext-hist-untallied"}); err == nil {
 		t.Fatal("protocol without a WireTallier accepted")
-	}
-}
-
-// TestExternalCohortWithoutAppendReporterRejected: a cohort collects on
-// the allocation-free AppendReport path, and histProto's client has no
-// AppendReport, so NewStream refuses WithCohort over it — while the same
-// protocol without a cohort is an ordinary wire stream.
-func TestExternalCohortWithoutAppendReporterRejected(t *testing.T) {
-	proto := &histProto{histBase{k: 10, name: "ext-hist"}}
-	_, err := loloha.NewStream(proto, loloha.WithCohort(4, 1))
-	if err == nil || !strings.Contains(err.Error(), "AppendReporter") {
-		t.Fatalf("cohort of clients without AppendReport: err = %v, want an AppendReporter refusal", err)
-	}
-	if _, err := loloha.NewStream(proto); err != nil {
-		t.Fatalf("wire stream over the same protocol: %v", err)
 	}
 }
 

@@ -12,6 +12,7 @@
 package attack
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
@@ -54,7 +55,8 @@ func (r DetectionResult) PointDetectionRate() float64 {
 
 // DetectDBitFlipChanges runs the Table 2 worst-case adversary: it replays
 // each user's value sequence through a dBitFlipPM client and compares
-// consecutive reports. values[t][u] is user u's value at round t; seeds
+// consecutive round payloads byte for byte (the payload is the memoized
+// d-bit response itself). values[t][u] is user u's value at round t; seeds
 // supplies one PRNG seed per user.
 func DetectDBitFlipChanges(proto *longitudinal.DBitFlipPM, values [][]int, seedBase uint64) (DetectionResult, error) {
 	if len(values) == 0 || len(values[0]) == 0 {
@@ -65,24 +67,27 @@ func DetectDBitFlipChanges(proto *longitudinal.DBitFlipPM, values [][]int, seedB
 	z := proto.Bucketizer()
 	var res DetectionResult
 	res.Users = n
+	var prevRep, rep []byte
 	for u := 0; u < n; u++ {
 		cl := proto.NewClient(randsrc.Derive(seedBase, uint64(u)))
-		prevRep := cl.Report(values[0][u]).(longitudinal.DBitReport)
+		prevRep = cl.AppendReport(prevRep[:0], values[0][u])
 		prevBucket := z.Bucket(values[0][u])
 		changed, allDetected := false, true
 		for t := 1; t < tau; t++ {
-			rep := cl.Report(values[t][u]).(longitudinal.DBitReport)
+			rep = cl.AppendReport(rep[:0], values[t][u])
 			bucket := z.Bucket(values[t][u])
 			if bucket != prevBucket {
 				changed = true
 				res.ChangePoints++
-				if !rep.Equal(prevRep) {
+				if !bytes.Equal(rep, prevRep) {
 					res.DetectedPoints++
 				} else {
 					allDetected = false
 				}
 			}
-			prevRep, prevBucket = rep, bucket
+			// Swap the buffers: the next report must not overwrite this one.
+			prevRep, rep = rep, prevRep
+			prevBucket = bucket
 		}
 		if changed {
 			res.UsersWithChanges++

@@ -168,3 +168,32 @@ func TestAveragingAttackGapGrowsWithTau(t *testing.T) {
 		t.Errorf("fresh attack did not improve with tau: %v -> %v", short, long)
 	}
 }
+
+// TestDetectionResultPinned pins the Table 2 adversary's full result on a
+// fixed seed and value matrix, for d = 1, 3 and b. The expected values
+// were recorded when the adversary compared boxed reports; comparing the
+// wire payloads byte for byte must not move them.
+func TestDetectionResultPinned(t *testing.T) {
+	const k, b = 60, 30
+	values := synSequence(300, k, 20, 0.3, 5)
+	for _, tc := range []struct {
+		d    int
+		want DetectionResult
+	}{
+		{1, DetectionResult{Users: 300, UsersWithChanges: 300, FullyDetected: 12, ChangePoints: 1599, DetectedPoints: 673}},
+		{3, DetectionResult{Users: 300, UsersWithChanges: 300, FullyDetected: 108, ChangePoints: 1599, DetectedPoints: 1265}},
+		{b, DetectionResult{Users: 300, UsersWithChanges: 300, FullyDetected: 300, ChangePoints: 1599, DetectedPoints: 1599}},
+	} {
+		proto, err := longitudinal.NewDBitFlipPM(k, b, tc.d, 2.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DetectDBitFlipChanges(proto, values, 77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("d=%d: %+v, want %+v", tc.d, got, tc.want)
+		}
+	}
+}

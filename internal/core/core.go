@@ -44,26 +44,22 @@ type Protocol struct {
 	prr          *freqoracle.GRR // GRR(ε∞) over [0..g)
 	irr          *freqoracle.GRR // GRR(ε_IRR) over [0..g)
 	params       longitudinal.ChainParams
-	cacheSupport bool
-	planes       int // ⌈log₂ g⌉: bit planes of a cached hash table
+	planes       int // ⌈log₂ g⌉: bit planes of a user's hash table
 }
 
-// Fast-path contracts (wirecontract): a regression in either interface
-// would silently degrade ingestion to the boxed Report path.
+// Protocol contracts (wirecontract): a Stream serves only TallyProtocols.
 var (
-	_ longitudinal.SpecProtocol   = (*Protocol)(nil)
-	_ longitudinal.TallyProtocol  = (*Protocol)(nil)
-	_ longitudinal.AppendReporter = (*Client)(nil)
+	_ longitudinal.SpecProtocol  = (*Protocol)(nil)
+	_ longitudinal.TallyProtocol = (*Protocol)(nil)
 )
 
 // Option customizes a Protocol.
 type Option func(*config)
 
 type config struct {
-	family       hashfamily.Family
-	cacheSupport bool
-	exactIRR     bool
-	name         string
+	family   hashfamily.Family
+	exactIRR bool
+	name     string
 }
 
 // WithFamily selects the universal hash family (default: SplitMix).
@@ -80,15 +76,6 @@ func WithExactIRRCalibration() Option {
 	return func(c *config) { c.exactIRR = true }
 }
 
-// WithoutSupportCache disables the aggregator's per-user hash table cache.
-// The cache keeps each user's table H_u(0..k) as ⌈log₂ g⌉ bit planes, so
-// it costs n·⌈log₂ g⌉·⌈k/64⌉·8 bytes and replaces k hash evaluations per
-// report with ⌈log₂ g⌉·⌈k/64⌉ word operations; disable it for huge
-// cohorts.
-func WithoutSupportCache() Option {
-	return func(c *config) { c.cacheSupport = false }
-}
-
 func withName(name string) Option {
 	return func(c *config) { c.name = name }
 }
@@ -102,7 +89,7 @@ func New(k, g int, epsInf, eps1 float64, opts ...Option) (*Protocol, error) {
 	if g < 2 {
 		return nil, fmt.Errorf("core: LOLOHA needs g >= 2, got %d", g)
 	}
-	cfg := config{cacheSupport: true, name: "LOLOHA"}
+	cfg := config{name: "LOLOHA"}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -146,8 +133,7 @@ func New(k, g int, epsInf, eps1 float64, opts ...Option) (*Protocol, error) {
 			P2: irr.Params().P,
 			Q2: irr.Params().Q,
 		},
-		cacheSupport: cfg.cacheSupport,
-		planes:       bits.Len(uint(g - 1)),
+		planes: bits.Len(uint(g - 1)),
 	}, nil
 }
 
@@ -180,6 +166,9 @@ func (p *Protocol) Eps1() float64 { return p.eps1 }
 
 // EpsIRR returns the derived instantaneous-round budget of Algorithm 1.
 func (p *Protocol) EpsIRR() float64 { return p.epsIRR }
+
+// Family returns the universal hash family the clients draw from.
+func (p *Protocol) Family() hashfamily.Family { return p.family }
 
 // Params returns the server-side chain probabilities (with q′₁ = 1/g).
 func (p *Protocol) Params() longitudinal.ChainParams { return p.params }
@@ -224,21 +213,8 @@ func (p *Protocol) newClient(seed uint64) *Client {
 	}
 }
 
-// HashSeed identifies the client's hash function; it is sent to the server
-// once ("Send H", Algorithm 1 line 2) as part of the first report.
-func (c *Client) HashSeed() uint64 { return c.hash.Seed() }
-
-// Report implements longitudinal.Client: hash, memoized PRR, fresh IRR.
-func (c *Client) Report(v int) longitudinal.Report {
-	return c.ReportValue(v)
-}
-
-// ReportValue is Report with a concrete return type.
-func (c *Client) ReportValue(v int) Report {
-	return Report{HashSeed: c.hash.Seed(), X: c.reportCell(v), g: c.proto.g}
-}
-
-// reportCell runs one round and returns the sanitized hash cell.
+// reportCell runs one round — hash, memoized PRR, fresh IRR — and
+// returns the sanitized hash cell.
 //
 //loloha:noalloc
 func (c *Client) reportCell(v int) int {
@@ -253,16 +229,15 @@ func (c *Client) reportCell(v int) int {
 	return c.proto.irr.Perturb(memo, c.rng) // IRR step
 }
 
-// AppendReport implements longitudinal.AppendReporter: the sanitized cell
-// straight into wire bytes — no boxed report, zero allocations when dst
-// has capacity.
+// AppendReport implements longitudinal.Client: the sanitized cell
+// straight into wire bytes, zero allocations when dst has capacity.
 //
 //loloha:noalloc
 func (c *Client) AppendReport(dst []byte, v int) []byte {
 	return freqoracle.AppendGRRReport(dst, c.reportCell(v), c.proto.g)
 }
 
-// WireRegistration implements longitudinal.AppendReporter: the hash seed
+// WireRegistration implements longitudinal.Client: the hash seed
 // the server resolves the client's hash function from (Algorithm 1,
 // "Send H").
 func (c *Client) WireRegistration() longitudinal.Registration {
@@ -270,7 +245,7 @@ func (c *Client) WireRegistration() longitudinal.Registration {
 }
 
 // Charge implements longitudinal.Client: it advances the privacy ledger as
-// Report would, without the PRR/IRR work.
+// AppendReport would, without the PRR/IRR work.
 //
 //loloha:noalloc
 func (c *Client) Charge(v int) {
@@ -284,114 +259,49 @@ func (c *Client) Charge(v int) {
 // cells used), capped at g·ε∞.
 func (c *Client) PrivacySpent() float64 { return c.ledger.Spent() }
 
-// Report is one LOLOHA round payload: the sanitized hash cell. HashSeed
-// rides along for server registration; only the cell travels each round in
-// steady state.
-type Report struct {
-	HashSeed uint64
-	X        int
-	g        int
-}
-
-// AppendBinary implements longitudinal.Report (steady state: the cell only).
-//
-//loloha:noalloc
-func (r Report) AppendBinary(dst []byte) []byte {
-	return freqoracle.AppendGRRReport(dst, r.X, r.g)
-}
-
-// DecodeReport reads a steady-state LOLOHA round payload. The hash seed is
-// the user's registration metadata (sent once, Algorithm 1 line 2); g is
-// the protocol's reduced domain size.
-func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
-	x, rest, err := freqoracle.DecodeGRRReport(src, g)
-	if err != nil {
-		return Report{}, nil, err
-	}
-	return Report{HashSeed: hashSeed, X: x, g: g}, rest, nil
-}
-
 // ---------------------------------------------------------------------------
 // Server side (Algorithm 2).
 
 // Aggregator collects one round of LOLOHA reports and estimates the k-bin
-// histogram. It registers each user's hash function the first time it sees
-// the user and (optionally) caches the user's full hash table as bit
-// planes. Each report becomes a k-bit mask of the candidates v with
-// H_u(v) = x, and the masks are summed in bit-sliced counters that spill
-// into the round's counts every 2^bitset.CounterBits − 1 reports and
-// before the counts are read (EndRound, Tally).
+// histogram. The first report of a user tabulates the user's hash
+// function H_u over [0..k) as ⌈log₂ g⌉ bit planes (n·⌈log₂ g⌉·⌈k/64⌉·8
+// bytes for n users). Each report becomes a k-bit mask of the candidates
+// v with H_u(v) = x, and the masks are summed in bit-sliced counters that
+// spill into the round's counts every 2^bitset.CounterBits − 1 reports
+// and before the counts are read (EndRound, Tally).
 type Aggregator struct {
 	proto   *Protocol
 	round   longitudinal.Tally
-	pending *bitset.Counter // support counts not yet in round.Counts
-	mask    []uint64        // scratch: the current report's match mask
-	hashes  map[int]hashfamily.Hash
-	tables  map[int][]uint64 // userID -> bit planes of H_u, if caching
+	pending *bitset.Counter  // support counts not yet in round.Counts
+	mask    []uint64         // scratch: the current report's match mask
+	tables  map[int][]uint64 // userID -> bit planes of H_u
 }
 
 // NewAggregator implements longitudinal.Protocol.
 func (p *Protocol) NewAggregator() longitudinal.Aggregator {
-	return p.NewServer()
-}
-
-// NewServer returns an Aggregator with its concrete type.
-func (p *Protocol) NewServer() *Aggregator {
 	pending := bitset.NewCounter(p.k)
-	a := &Aggregator{
+	return &Aggregator{
 		proto:   p,
 		round:   longitudinal.Tally{Counts: make([]int64, p.k)},
 		pending: pending,
 		mask:    make([]uint64, pending.Words()),
-		hashes:  make(map[int]hashfamily.Hash),
+		tables:  make(map[int][]uint64),
 	}
-	if p.cacheSupport {
-		a.tables = make(map[int][]uint64)
-	}
-	return a
 }
 
-// Add implements longitudinal.Aggregator: counts support C(v) for every
-// candidate value (the n·k server loop of Table 1).
-func (a *Aggregator) Add(userID int, rep longitudinal.Report) {
-	r, ok := rep.(Report)
-	if !ok {
-		panic(fmt.Sprintf("core: LOLOHA aggregator got %T", rep))
-	}
-	a.AddReport(userID, r)
-}
-
-// AddReport is Add with a concrete report type.
+// add tallies the sanitized hash cell x ∈ [0..g) of the user whose hash
+// function seed names: support C(v) for every candidate value (the n·k
+// server loop of Table 1).
 //
 //loloha:noalloc
-func (a *Aggregator) AddReport(userID int, r Report) {
-	if r.X < 0 || r.X >= a.proto.g {
-		panic(fmt.Sprintf("core: LOLOHA report %d outside [0,%d)", r.X, a.proto.g))
+func (a *Aggregator) add(userID int, seed uint64, x int) {
+	table, ok := a.tables[userID]
+	//loloha:alloc-ok cold: the per-user hash table is built once, on first report
+	if !ok {
+		table = a.proto.hashPlanes(seed)
+		a.tables[userID] = table
 	}
-	if a.tables != nil {
-		table, ok := a.tables[userID]
-		//loloha:alloc-ok cold: the per-user hash table is built once, on first report
-		if !ok {
-			table = a.proto.hashPlanes(r.HashSeed)
-			a.tables[userID] = table
-		}
-		matchMask(a.mask, table, a.proto.planes, r.X)
-	} else {
-		h, ok := a.hashes[userID]
-		//loloha:alloc-ok cold: the user's hash is resolved once, on first report
-		if !ok {
-			h = a.proto.family.FromSeed(r.HashSeed)
-			a.hashes[userID] = h
-		}
-		clear(a.mask)
-		for v := 0; v < a.proto.k; v++ {
-			var hit uint64
-			if h.Index(v) == r.X {
-				hit = 1
-			}
-			a.mask[v>>6] |= hit << (v & 63)
-		}
-	}
+	matchMask(a.mask, table, a.proto.planes, x)
 	if a.pending.Add(a.mask) {
 		a.flush()
 	}
@@ -436,9 +346,8 @@ func (a *Aggregator) flush() { a.pending.FlushInto(a.round.Counts) }
 
 // Tally implements longitudinal.Aggregator. It flushes the pending
 // bit-sliced counts first, so the returned tally is the round's exact
-// state. The per-user hash and table caches are not round state: they
-// are pure functions of the enrolled hash seeds and stay with the
-// aggregator.
+// state. The per-user hash tables are not round state: they are pure
+// functions of the enrolled hash seeds and stay with the aggregator.
 //
 //loloha:noalloc
 func (a *Aggregator) Tally() *longitudinal.Tally {

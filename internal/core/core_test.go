@@ -91,7 +91,7 @@ func TestTheorem35LongitudinalBudget(t *testing.T) {
 	// A client cycling through the whole domain can never exceed g·ε∞.
 	cl := p.newClient(77)
 	for v := 0; v < 1000; v++ {
-		cl.Report(v)
+		cl.AppendReport(nil, v)
 	}
 	if got := cl.PrivacySpent(); got > 8+1e-12 {
 		t.Errorf("client spent %v, cap is 8", got)
@@ -116,13 +116,13 @@ func TestLedgerChargesPerHashCellNotPerValue(t *testing.T) {
 			vDiff = v
 		}
 	}
-	cl.Report(0)
+	cl.AppendReport(nil, 0)
 	spent0 := cl.PrivacySpent()
-	cl.Report(vSame)
+	cl.AppendReport(nil, vSame)
 	if cl.PrivacySpent() != spent0 {
 		t.Error("colliding value charged a fresh ε∞")
 	}
-	cl.Report(vDiff)
+	cl.AppendReport(nil, vDiff)
 	if cl.PrivacySpent() <= spent0 {
 		t.Error("new hash cell did not charge ε∞")
 	}
@@ -155,7 +155,7 @@ func TestEndToEndStaticEstimation(t *testing.T) {
 	for _, mk := range []func() (*Protocol, error){
 		func() (*Protocol, error) { return NewBinary(k, 3, 1.5) },
 		func() (*Protocol, error) { return NewOptimal(k, 3, 1.5) },
-		func() (*Protocol, error) { return New(k, 4, 3, 1.5, WithoutSupportCache()) },
+		func() (*Protocol, error) { return New(k, 4, 3, 1.5) },
 		func() (*Protocol, error) {
 			return New(k, 4, 3, 1.5, WithFamily(hashfamily.NewCarterWegmanFamily(4)))
 		},
@@ -168,11 +168,11 @@ func TestEndToEndStaticEstimation(t *testing.T) {
 		for u := range clients {
 			clients[u] = p.newClient(randsrc.Derive(1000, uint64(u)))
 		}
-		agg := p.NewServer()
+		agg := newServer(p)
 		var est []float64
 		for round := 0; round < tau; round++ {
 			for u, v := range values {
-				agg.AddReport(u, clients[u].ReportValue(v))
+				report(t, p, agg, u, clients[u], v)
 			}
 			est = agg.EndRound()
 		}
@@ -186,43 +186,10 @@ func TestEndToEndStaticEstimation(t *testing.T) {
 	}
 }
 
-func TestCacheAndNoCacheAgree(t *testing.T) {
-	// The support-cache is a pure optimization: identical reports must give
-	// identical counts either way.
-	const k, n = 32, 500
-	mk := func(opts ...Option) (*Protocol, []longitudinal.Report) {
-		p, err := New(k, 4, 2, 1, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports := make([]longitudinal.Report, n)
-		for u := 0; u < n; u++ {
-			cl := p.newClient(uint64(u))
-			reports[u] = cl.ReportValue(u % k)
-		}
-		return p, reports
-	}
-	pc, reports := mk()
-	pn, _ := mk(WithoutSupportCache())
-
-	aggC, aggN := pc.NewServer(), pn.NewServer()
-	for u, rep := range reports {
-		aggC.Add(u, rep)
-		aggN.Add(u, rep)
-	}
-	estC, estN := aggC.EndRound(), aggN.EndRound()
-	for v := range estC {
-		if math.Abs(estC[v]-estN[v]) > 1e-12 {
-			t.Fatalf("cache/no-cache estimates diverge at v=%d: %v vs %v", v, estC[v], estN[v])
-		}
-	}
-}
-
 func TestReportEncodingWidth(t *testing.T) {
 	p, _ := New(1000, 16, 3, 1)
 	cl := p.newClient(1)
-	rep := cl.ReportValue(500)
-	if got := len(rep.AppendBinary(nil)); got != 1 {
+	if got := len(cl.AppendReport(nil, 500)); got != 1 {
 		t.Errorf("g=16 report uses %d bytes, want 1", got)
 	}
 	if p.SteadyReportBits() != 4 {
@@ -234,20 +201,23 @@ func TestReportEncodingWidth(t *testing.T) {
 	}
 }
 
+// TestAggregatorRejectsForeignReport: the tallier refuses an aggregator
+// of another protocol — even another LOLOHA configuration — and leaves it
+// untouched.
 func TestAggregatorRejectsForeignReport(t *testing.T) {
 	p, _ := NewBinary(10, 2, 1)
-	agg := p.NewServer()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign report accepted")
+	other, _ := NewBinary(10, 2, 1)
+	lgrr, _ := longitudinal.NewLGRR(10, 2, 1)
+	cl := p.newClient(1)
+	for _, agg := range []longitudinal.Aggregator{other.NewAggregator(), lgrr.NewAggregator()} {
+		if err := p.WireTallier().TallyWire(agg, 0, cl.AppendReport(nil, 3), cl.WireRegistration()); err == nil {
+			t.Errorf("LOLOHA tallier accepted %T of another protocol", agg)
 		}
-	}()
-	agg.Add(0, fakeReport{})
+		if agg.Tally().N != 0 {
+			t.Errorf("%T counted a rejected report", agg)
+		}
+	}
 }
-
-type fakeReport struct{}
-
-func (fakeReport) AppendBinary(dst []byte) []byte { return dst }
 
 func TestClientPanicsOnOutOfRange(t *testing.T) {
 	p, _ := NewBinary(10, 2, 1)
@@ -257,11 +227,20 @@ func TestClientPanicsOnOutOfRange(t *testing.T) {
 			t.Fatal("out-of-range value accepted")
 		}
 	}()
-	cl.ReportValue(10)
+	cl.AppendReport(nil, 10)
 }
 
 func TestProtocolImplementsLongitudinalInterface(t *testing.T) {
 	var _ longitudinal.Protocol = mustProto(t)
+}
+
+// report sends client cl's report of v, as user u, through the protocol's
+// WireTallier into agg.
+func report(t testing.TB, p *Protocol, agg longitudinal.Aggregator, u int, cl *Client, v int) {
+	t.Helper()
+	if err := p.WireTallier().TallyWire(agg, u, cl.AppendReport(nil, v), cl.WireRegistration()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func mustProto(t *testing.T) *Protocol {

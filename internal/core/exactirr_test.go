@@ -58,9 +58,9 @@ func TestExactIRREndToEndStillUnbiased(t *testing.T) {
 	for u := range clients {
 		clients[u] = proto.newClient(randsrc.Derive(5, uint64(u)))
 	}
-	agg := proto.NewServer()
+	agg := proto.NewAggregator()
 	for u, v := range values {
-		agg.AddReport(u, clients[u].ReportValue(v))
+		report(t, proto, agg, u, clients[u], v)
 	}
 	est := agg.EndRound()
 	sd := math.Sqrt(proto.ApproxVariance(n))

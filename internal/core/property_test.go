@@ -32,8 +32,8 @@ func TestQuickClientReportsInRange(t *testing.T) {
 			return false
 		}
 		cl := p.newClient(seed)
-		rep := cl.ReportValue(int(vRaw) % k)
-		return rep.X >= 0 && rep.X < g && rep.HashSeed == cl.HashSeed()
+		rep := cl.AppendReport(nil, int(vRaw)%k)
+		return len(rep) == 1 && rep[0] < g && cl.WireRegistration().HashSeed == cl.hash.Seed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -66,10 +66,9 @@ func TestQuickAggregatorCountsBounded(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		agg := p.NewServer()
+		agg := p.NewAggregator()
 		for u, s := range seeds {
-			cl := p.newClient(uint64(s) + 1)
-			agg.AddReport(u, cl.ReportValue(int(s)%k))
+			report(t, p, agg, u, p.newClient(uint64(s)+1), int(s)%k)
 		}
 		n := int64(len(seeds))
 		for _, c := range agg.Tally().Counts {
@@ -94,10 +93,9 @@ func TestQuickEstimatesSumNearOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := p.NewServer()
+	agg := p.NewAggregator()
 	for u := 0; u < n; u++ {
-		cl := p.newClient(uint64(u))
-		agg.AddReport(u, cl.ReportValue(u%k))
+		report(t, p, agg, u, p.newClient(uint64(u)), u%k)
 	}
 	est := agg.EndRound()
 	sum := 0.0

@@ -15,8 +15,7 @@ import (
 // carries its explicit g; BiLOLOHA (g = 2) and OLOLOHA (g from Eq. (6))
 // derive g from the family, so their specs omit it and re-derive it on
 // Build. Non-default construction options (custom hash family, exact IRR
-// calibration, disabled support cache) are not part of the declarative
-// description.
+// calibration) are not part of the declarative description.
 func (p *Protocol) Spec() longitudinal.ProtocolSpec {
 	s := longitudinal.ProtocolSpec{Family: p.name, K: p.k, EpsInf: p.epsInf, Eps1: p.eps1}
 	if p.name == "LOLOHA" {

@@ -66,6 +66,9 @@ func tallyUsers(t testing.TB, p *Protocol, agg *Aggregator, c supportCase, lo, h
 	}
 }
 
+// newServer returns p's aggregator with its concrete type.
+func newServer(p *Protocol) *Aggregator { return p.NewAggregator().(*Aggregator) }
+
 func checkTally(t testing.TB, what string, agg *Aggregator, want []int64, wantN int) {
 	t.Helper()
 	tl := agg.Tally()
@@ -94,13 +97,9 @@ var supportFamilies = []familyCase{
 	{"carter-wegman", func(g int) hashfamily.Family { return hashfamily.NewCarterWegmanFamily(g) }},
 }
 
-func supportProtocol(t testing.TB, k, g int, fam familyCase, cached bool) *Protocol {
+func supportProtocol(t testing.TB, k, g int, fam familyCase) *Protocol {
 	t.Helper()
-	opts := []Option{WithFamily(fam.mk(g))}
-	if !cached {
-		opts = append(opts, WithoutSupportCache())
-	}
-	p, err := New(k, g, 2, 1, opts...)
+	p, err := New(k, g, 2, 1, WithFamily(fam.mk(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +108,8 @@ func supportProtocol(t testing.TB, k, g int, fam familyCase, cached bool) *Proto
 
 // TestSupportCountsMatchNaive runs the grid of domain sizes (one word,
 // word edges, the benchmark's k), reduced domains (powers of two and not,
-// wider than a byte), both hash families and both server modes, with
-// report counts on each side of the counters' flush boundary.
+// wider than a byte) and both hash families, with report counts on each
+// side of the counters' flush boundary.
 func TestSupportCountsMatchNaive(t *testing.T) {
 	ns := []int{1, flushEvery - 1, flushEvery, flushEvery + 1, 1000}
 	for _, k := range []int{2, 63, 64, 65, 360, 1000} {
@@ -122,14 +121,12 @@ func TestSupportCountsMatchNaive(t *testing.T) {
 				for _, n := range ns {
 					want[n] = naiveSupport(family, k, c, 0, n)
 				}
-				for _, cached := range []bool{true, false} {
-					p := supportProtocol(t, k, g, fam, cached)
-					for _, n := range ns {
-						agg := p.NewServer()
-						tallyUsers(t, p, agg, c, 0, n)
-						what := fmt.Sprintf("k=%d g=%d %s cached=%v n=%d", k, g, fam.name, cached, n)
-						checkTally(t, what, agg, want[n], n)
-					}
+				p := supportProtocol(t, k, g, fam)
+				for _, n := range ns {
+					agg := newServer(p)
+					tallyUsers(t, p, agg, c, 0, n)
+					what := fmt.Sprintf("k=%d g=%d %s n=%d", k, g, fam.name, n)
+					checkTally(t, what, agg, want[n], n)
 				}
 			}
 		}
@@ -137,9 +134,9 @@ func TestSupportCountsMatchNaive(t *testing.T) {
 }
 
 // TestSupportCacheWideG is the regression for reduced domains wider than
-// a byte: a cached table that kept H_u(v) in 8 bits matched cells modulo
-// 256, so at g = 257 and g = 300 the cached counts disagreed with the
-// uncached ones.
+// a byte: a per-user hash table that kept H_u(v) in 8 bits matched cells
+// modulo 256, so at g = 257 and g = 300 its counts disagreed with the
+// naive count.
 func TestSupportCacheWideG(t *testing.T) {
 	const k, n = 2000, 300
 	for _, g := range []int{256, 257, 300, 1024} {
@@ -153,7 +150,7 @@ func TestSupportCacheWideG(t *testing.T) {
 		for u := range c.xs {
 			c.xs[u] = p.family.FromSeed(c.seeds[u]).Index(u % k)
 		}
-		agg := p.NewServer()
+		agg := newServer(p)
 		tallyUsers(t, p, agg, c, 0, n)
 		checkTally(t, fmt.Sprintf("g=%d", g), agg, naiveSupport(p.family, k, c, 0, n), n)
 	}
@@ -168,55 +165,52 @@ func TestSupportCountsExactAcrossMidRoundReads(t *testing.T) {
 	const k, n = 130, 1000
 	for _, g := range []int{2, 257} {
 		for _, fam := range supportFamilies {
-			for _, cached := range []bool{true, false} {
-				name := fmt.Sprintf("g=%d/%s/cached=%v", g, fam.name, cached)
-				t.Run(name, func(t *testing.T) {
-					p := supportProtocol(t, k, g, fam, cached)
-					c := newSupportCase(g, n, uint64(g))
-					naive := func(lo, hi int) []int64 { return naiveSupport(p.family, k, c, lo, hi) }
+			t.Run(fmt.Sprintf("g=%d/%s", g, fam.name), func(t *testing.T) {
+				p := supportProtocol(t, k, g, fam)
+				c := newSupportCase(g, n, uint64(g))
+				naive := func(lo, hi int) []int64 { return naiveSupport(p.family, k, c, lo, hi) }
 
-					a := p.NewServer()
-					tallyUsers(t, p, a, c, 0, 100)
-					checkTally(t, "a after 100", a, naive(0, 100), 100)
-					tallyUsers(t, p, a, c, 100, 300)
-					checkTally(t, "a after 300", a, naive(0, 300), 300)
+				a := newServer(p)
+				tallyUsers(t, p, a, c, 0, 100)
+				checkTally(t, "a after 100", a, naive(0, 100), 100)
+				tallyUsers(t, p, a, c, 100, 300)
+				checkTally(t, "a after 300", a, naive(0, 300), 300)
 
-					// A second shard tallies [300, 500); a mid-round fold
-					// moves its pending counts into a and empties it.
-					b := p.NewServer()
-					tallyUsers(t, p, b, c, 300, 400)
-					fold(t, a, b)
-					checkTally(t, "a after fold", a, naive(0, 400), 400)
-					checkTally(t, "b after fold", b, make([]int64, k), 0)
-					tallyUsers(t, p, b, c, 400, 500)
-					tallyUsers(t, p, a, c, 500, 600)
+				// A second shard tallies [300, 500); a mid-round fold
+				// moves its pending counts into a and empties it.
+				b := newServer(p)
+				tallyUsers(t, p, b, c, 300, 400)
+				fold(t, a, b)
+				checkTally(t, "a after fold", a, naive(0, 400), 400)
+				checkTally(t, "b after fold", b, make([]int64, k), 0)
+				tallyUsers(t, p, b, c, 400, 500)
+				tallyUsers(t, p, a, c, 500, 600)
 
-					// A third aggregator adds a copy of a's tally mid-round,
-					// then folds b and finishes the round.
-					d := p.NewServer()
-					tallyUsers(t, p, d, c, 600, 650)
-					at := a.Tally()
-					saved := longitudinal.Tally{Counts: slices.Clone(at.Counts), N: at.N}
-					a.EndRound()
-					if err := d.Tally().Add(saved); err != nil {
-						t.Fatal(err)
+				// A third aggregator adds a copy of a's tally mid-round,
+				// then folds b and finishes the round.
+				d := newServer(p)
+				tallyUsers(t, p, d, c, 600, 650)
+				at := a.Tally()
+				saved := longitudinal.Tally{Counts: slices.Clone(at.Counts), N: at.N}
+				a.EndRound()
+				if err := d.Tally().Add(saved); err != nil {
+					t.Fatal(err)
+				}
+				tallyUsers(t, p, d, c, 650, 700)
+				fold(t, d, b)
+				tallyUsers(t, p, d, c, 700, n)
+				want := naive(0, n)
+				checkTally(t, "d at round end", d, want, n)
+
+				// The estimates are Eq. (3) of exactly those counts.
+				wantEst := p.params.EstimateAllL(want, n)
+				for v, e := range d.EndRound() {
+					if e != wantEst[v] {
+						t.Fatalf("estimate %d = %v, want %v", v, e, wantEst[v])
 					}
-					tallyUsers(t, p, d, c, 650, 700)
-					fold(t, d, b)
-					tallyUsers(t, p, d, c, 700, n)
-					want := naive(0, n)
-					checkTally(t, "d at round end", d, want, n)
-
-					// The estimates are Eq. (3) of exactly those counts.
-					wantEst := p.params.EstimateAllL(want, n)
-					for v, e := range d.EndRound() {
-						if e != wantEst[v] {
-							t.Fatalf("estimate %d = %v, want %v", v, e, wantEst[v])
-						}
-					}
-					checkTally(t, "d after EndRound", d, make([]int64, k), 0)
-				})
-			}
+				}
+				checkTally(t, "d after EndRound", d, make([]int64, k), 0)
+			})
 		}
 	}
 }
@@ -238,39 +232,37 @@ func fold(t *testing.T, dst, src *Aggregator) {
 func TestTallyWireZeroAllocLOLOHA(t *testing.T) {
 	const k, users = 360, flushEvery + 45
 	for _, g := range []int{2, 257} {
-		for _, cached := range []bool{true, false} {
-			p := supportProtocol(t, k, g, supportFamilies[0], cached)
-			c := newSupportCase(g, users, 7)
-			payloads := make([][]byte, users)
-			regs := make([]longitudinal.Registration, users)
+		p := supportProtocol(t, k, g, supportFamilies[0])
+		c := newSupportCase(g, users, 7)
+		payloads := make([][]byte, users)
+		regs := make([]longitudinal.Registration, users)
+		for u := range payloads {
+			payloads[u] = freqoracle.AppendGRRReport(nil, c.xs[u], g)
+			regs[u] = longitudinal.Registration{HashSeed: c.seeds[u]}
+		}
+		agg := newServer(p)
+		wt := p.WireTallier()
+		tallyUsers(t, p, agg, c, 0, users) // builds the per-user tables
+		allocs := testing.AllocsPerRun(3, func() {
 			for u := range payloads {
-				payloads[u] = freqoracle.AppendGRRReport(nil, c.xs[u], g)
-				regs[u] = longitudinal.Registration{HashSeed: c.seeds[u]}
-			}
-			agg := p.NewServer()
-			wt := p.WireTallier()
-			tallyUsers(t, p, agg, c, 0, users) // builds the per-user tables
-			allocs := testing.AllocsPerRun(3, func() {
-				for u := range payloads {
-					if err := wt.TallyWire(agg, u, payloads[u], regs[u]); err != nil {
-						panic(err)
-					}
+				if err := wt.TallyWire(agg, u, payloads[u], regs[u]); err != nil {
+					panic(err)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("g=%d cached=%v: TallyWire allocates %v times per %d reports, want 0", g, cached, allocs, users)
 			}
-			allocs = testing.AllocsPerRun(10, func() {
-				for u := range 45 { // leaves counts pending for Tally to flush
-					if err := wt.TallyWire(agg, u, payloads[u], regs[u]); err != nil {
-						panic(err)
-					}
+		})
+		if allocs != 0 {
+			t.Errorf("g=%d: TallyWire allocates %v times per %d reports, want 0", g, allocs, users)
+		}
+		allocs = testing.AllocsPerRun(10, func() {
+			for u := range 45 { // leaves counts pending for Tally to flush
+				if err := wt.TallyWire(agg, u, payloads[u], regs[u]); err != nil {
+					panic(err)
 				}
-				_ = agg.Tally()
-			})
-			if allocs != 0 {
-				t.Errorf("g=%d cached=%v: a mid-round Tally read allocates %v times, want 0", g, cached, allocs)
 			}
+			_ = agg.Tally()
+		})
+		if allocs != 0 {
+			t.Errorf("g=%d: a mid-round Tally read allocates %v times, want 0", g, allocs)
 		}
 	}
 }
@@ -294,7 +286,7 @@ func BenchmarkTallyWireLOLOHA(b *testing.B) {
 				payloads[u] = freqoracle.AppendGRRReport(nil, c.xs[u], g)
 				regs[u] = longitudinal.Registration{HashSeed: c.seeds[u]}
 			}
-			agg := p.NewServer()
+			agg := newServer(p)
 			wt := p.WireTallier()
 			tallyUsers(b, p, agg, c, 0, users)
 			b.ReportAllocs()

@@ -8,9 +8,9 @@ import (
 )
 
 // WireTallier implements longitudinal.TallyProtocol: LOLOHA payloads tally
-// directly into the aggregator's support counts, with no Report
-// materialized and zero steady-state allocations (the per-user hash table
-// is built once, on the user's first report).
+// directly into the aggregator's support counts with zero steady-state
+// allocations (the per-user hash table is built once, on the user's first
+// report).
 func (p *Protocol) WireTallier() longitudinal.WireTallier { return wireTallier{proto: p} }
 
 type wireTallier struct{ proto *Protocol }
@@ -40,6 +40,6 @@ func (t wireTallier) TallyWire(agg longitudinal.Aggregator, userID int, payload 
 	if err != nil {
 		return err
 	}
-	a.AddReport(userID, Report{HashSeed: reg.HashSeed, X: x, g: t.proto.g})
+	a.add(userID, reg.HashSeed, x)
 	return nil
 }

@@ -135,9 +135,13 @@ func TestEndToEndWithLolohaEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tallier := proto.WireTallier()
 	for round := 0; round < rounds; round++ {
 		for u, v := range values {
-			agg.Add(u, clients[u].Report(v))
+			cl := clients[u]
+			if err := tallier.TallyWire(agg, u, cl.AppendReport(nil, v), cl.WireRegistration()); err != nil {
+				t.Fatal(err)
+			}
 		}
 		tr.Observe(agg.EndRound())
 	}

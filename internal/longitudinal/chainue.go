@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/loloha-ldp/loloha/internal/bitset"
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/privacy"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
@@ -112,12 +111,10 @@ type ChainUE struct {
 	sampler freqoracle.ReportSampler
 }
 
-// Fast-path contracts (wirecontract): a regression in either interface
-// would silently degrade ingestion to the boxed Report path.
+// Protocol contracts (wirecontract): a Stream serves only TallyProtocols.
 var (
-	_ SpecProtocol   = (*ChainUE)(nil)
-	_ TallyProtocol  = (*ChainUE)(nil)
-	_ AppendReporter = (*chainUEClient)(nil)
+	_ SpecProtocol  = (*ChainUE)(nil)
+	_ TallyProtocol = (*ChainUE)(nil)
 )
 
 // NewChainUE builds a chained-UE protocol from explicit parameters;
@@ -232,7 +229,6 @@ type chainUEClient struct {
 	// the IRR sampler needs.
 	ones     map[int][]int32
 	p1T, q1T uint64
-	wire     []byte // Report() scratch: one payload, reused across rounds
 	ledger   *privacy.Ledger
 }
 
@@ -284,22 +280,10 @@ func (cl *chainUEClient) onesOf(w int) []int32 {
 	return o
 }
 
-// Report implements Client: one-hot encode, PRR (memoized), then IRR. It
-// is the boxed compatibility path — AppendReport emits the same bytes with
-// no Bitset or Report value.
-func (cl *chainUEClient) Report(v int) Report {
-	cl.wire = cl.AppendReport(cl.wire[:0], v)
-	rep, _, err := DecodeUEReport(cl.wire, cl.proto.k)
-	if err != nil {
-		panic(err) // impossible: the scratch holds exactly one payload
-	}
-	return rep
-}
-
-// AppendReport implements AppendReporter: one sampler round anchored at
-// the next word of the client's stream, with the memoized one-list as the
-// upgraded positions. Steady state (warm caches, capacity in dst) performs
-// zero allocations.
+// AppendReport implements Client: one-hot encode, PRR (memoized), then
+// IRR, as one sampler round anchored at the next word of the client's
+// stream, with the memoized one-list as the upgraded positions. Steady
+// state (warm caches, capacity in dst) performs zero allocations.
 //
 //loloha:noalloc
 func (cl *chainUEClient) AppendReport(dst []byte, v int) []byte {
@@ -307,7 +291,7 @@ func (cl *chainUEClient) AppendReport(dst []byte, v int) []byte {
 	return cl.proto.sampler.AppendReport(dst, cl.rng.Uint64(), cl.onesOf(v))
 }
 
-// WireRegistration implements AppendReporter: chained UE needs no
+// WireRegistration implements Client: chained UE needs no
 // enrollment metadata.
 func (cl *chainUEClient) WireRegistration() Registration { return Registration{} }
 
@@ -324,16 +308,6 @@ func (cl *chainUEClient) Charge(v int) {
 // PrivacySpent implements Client.
 func (cl *chainUEClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-// UEReport is a chained-UE round payload: the k sanitized bits.
-type UEReport struct {
-	Bits *bitset.Bitset
-}
-
-// AppendBinary implements Report.
-func (r UEReport) AppendBinary(dst []byte) []byte {
-	return freqoracle.AppendUEReport(dst, r.Bits)
-}
-
 // chainUEAggregator tallies one round of UE reports.
 type chainUEAggregator struct {
 	proto *ChainUE
@@ -343,20 +317,6 @@ type chainUEAggregator struct {
 // NewAggregator implements Protocol.
 func (c *ChainUE) NewAggregator() Aggregator {
 	return &chainUEAggregator{proto: c, round: Tally{Counts: make([]int64, c.k)}}
-}
-
-// Add implements Aggregator.
-func (a *chainUEAggregator) Add(userID int, rep Report) {
-	ue, ok := rep.(UEReport)
-	if !ok {
-		panic(fmt.Sprintf("longitudinal: %s aggregator got %T", a.proto.name, rep))
-	}
-	if ue.Bits.Len() != a.proto.k {
-		panic(fmt.Sprintf("longitudinal: %s report has %d bits, want %d",
-			a.proto.name, ue.Bits.Len(), a.proto.k))
-	}
-	ue.Bits.AccumulateInto(a.round.Counts)
-	a.round.N++
 }
 
 // Tally implements Aggregator.

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the spec parser, the columnar batch decoder and the
-// boxed report decoders: arbitrary bytes must produce either a valid value
-// or an error — never a panic, never an out-of-domain report. The
-// talliers' input validation is fuzzed by FuzzTallyWire.
+// Fuzz targets for the spec parser and the columnar batch decoder:
+// arbitrary bytes must produce either a valid value or an error — never a
+// panic. The talliers' input validation is fuzzed by FuzzTallyWire, and
+// their counts against internal/reference by its FuzzDifferential*
+// targets.
 // `go test` exercises the seed corpus; `go test -fuzz` explores.
 
 // FuzzParseSpec feeds arbitrary bytes through the strict JSON spec parser
@@ -168,69 +169,6 @@ func FuzzColumnarBatch(f *testing.F) {
 		if rb.Count() != n || !slices.Equal(rb.IDs, b.IDs) || !bytes.Equal(rb.Payloads, b.Payloads) ||
 			!slices.Equal(rb.Seeds, b.Seeds) || !slices.Equal(rb.Buckets, b.Buckets) {
 			t.Fatalf("round trip changed the batch")
-		}
-	})
-}
-
-// FuzzDecodeUEReport, FuzzDecodeGRRValueReport and FuzzDecodeDBitReport
-// cover the boxed report decoders in wire.go (the reference path that
-// turns round payloads back into Report values).
-
-func FuzzDecodeUEReport(f *testing.F) {
-	f.Add([]byte{0x00}, 8)
-	f.Add([]byte{0xFF, 0x01}, 9)
-	f.Add([]byte{}, 64)
-	f.Fuzz(func(t *testing.T, data []byte, kRaw int) {
-		k := kRaw%500 + 2
-		if k < 2 {
-			k = 2
-		}
-		rep, _, err := DecodeUEReport(data, k)
-		if err != nil {
-			return
-		}
-		if rep.Bits.Len() != k {
-			t.Fatalf("decoded %d bits, want %d", rep.Bits.Len(), k)
-		}
-	})
-}
-
-func FuzzDecodeGRRValueReport(f *testing.F) {
-	f.Add([]byte{0x03}, 10)
-	f.Add([]byte{0xFF, 0xFF}, 70000)
-	f.Fuzz(func(t *testing.T, data []byte, kRaw int) {
-		k := kRaw%100000 + 2
-		if k < 2 {
-			k = 2
-		}
-		rep, _, err := DecodeGRRValueReport(data, k)
-		if err != nil {
-			return
-		}
-		if rep.X < 0 || rep.X >= k {
-			t.Fatalf("decoded %d outside [0,%d)", rep.X, k)
-		}
-	})
-}
-
-func FuzzDecodeDBitReport(f *testing.F) {
-	f.Add([]byte{0xAA}, 5)
-	f.Add([]byte{0x01, 0x02}, 12)
-	f.Fuzz(func(t *testing.T, data []byte, dRaw int) {
-		d := dRaw%64 + 1
-		if d < 1 {
-			d = 1
-		}
-		sampled := make([]int, d)
-		for i := range sampled {
-			sampled[i] = i
-		}
-		rep, _, err := DecodeDBitReport(data, sampled)
-		if err != nil {
-			return
-		}
-		if len(rep.Bits) != d {
-			t.Fatalf("decoded %d bits, want %d", len(rep.Bits), d)
 		}
 	})
 }

@@ -21,11 +21,10 @@ type LGRR struct {
 	params       ChainParams
 }
 
-// Fast-path contracts (wirecontract).
+// Protocol contracts (wirecontract).
 var (
-	_ SpecProtocol   = (*LGRR)(nil)
-	_ TallyProtocol  = (*LGRR)(nil)
-	_ AppendReporter = (*lgrrClient)(nil)
+	_ SpecProtocol  = (*LGRR)(nil)
+	_ TallyProtocol = (*LGRR)(nil)
 )
 
 // NewLGRR returns the L-GRR protocol for domain size k with longitudinal
@@ -114,20 +113,15 @@ func (cl *lgrrClient) reportValue(v int) int {
 	return cl.proto.irr.Perturb(memo, cl.rng)
 }
 
-// Report implements Client.
-func (cl *lgrrClient) Report(v int) Report {
-	return GRRValueReport{X: cl.reportValue(v), K: cl.proto.k}
-}
-
-// AppendReport implements AppendReporter: the sanitized value straight
-// into wire bytes, no boxed report.
+// AppendReport implements Client: the sanitized value straight into wire
+// bytes.
 //
 //loloha:noalloc
 func (cl *lgrrClient) AppendReport(dst []byte, v int) []byte {
 	return freqoracle.AppendGRRReport(dst, cl.reportValue(v), cl.proto.k)
 }
 
-// WireRegistration implements AppendReporter: L-GRR needs no enrollment
+// WireRegistration implements Client: L-GRR needs no enrollment
 // metadata.
 func (cl *lgrrClient) WireRegistration() Registration { return Registration{} }
 
@@ -144,18 +138,6 @@ func (cl *lgrrClient) Charge(v int) {
 // PrivacySpent implements Client.
 func (cl *lgrrClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-// GRRValueReport is a scalar report over the domain [0..K); K fixes the
-// wire-encoding width.
-type GRRValueReport struct {
-	X int
-	K int
-}
-
-// AppendBinary implements Report.
-func (r GRRValueReport) AppendBinary(dst []byte) []byte {
-	return freqoracle.AppendGRRReport(dst, r.X, r.K)
-}
-
 type lgrrAggregator struct {
 	proto *LGRR
 	round Tally
@@ -164,19 +146,6 @@ type lgrrAggregator struct {
 // NewAggregator implements Protocol.
 func (m *LGRR) NewAggregator() Aggregator {
 	return &lgrrAggregator{proto: m, round: Tally{Counts: make([]int64, m.k)}}
-}
-
-// Add implements Aggregator.
-func (a *lgrrAggregator) Add(userID int, rep Report) {
-	g, ok := rep.(GRRValueReport)
-	if !ok {
-		panic(fmt.Sprintf("longitudinal: L-GRR aggregator got %T", rep))
-	}
-	if g.X < 0 || g.X >= a.proto.k {
-		panic(fmt.Sprintf("longitudinal: L-GRR report %d outside [0,%d)", g.X, a.proto.k))
-	}
-	a.round.Counts[g.X]++
-	a.round.N++
 }
 
 // Tally implements Aggregator.

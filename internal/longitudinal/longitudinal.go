@@ -16,6 +16,13 @@
 // paper notes (§3.1) that pre-computing the mapping and memoizing are
 // "equivalent in terms of the functionality provided"; the PRF form is the
 // O(1)-memory way to pre-compute lazily.
+//
+// Every protocol has one client/aggregator contract: a Client writes each
+// round straight into its steady-state wire payload (AppendReport), and
+// an Aggregator receives payloads only through the protocol's
+// WireTallier. Tests check every registered family against
+// internal/reference, a server written independently from the paper's
+// definitions.
 package longitudinal
 
 import (
@@ -23,41 +30,27 @@ import (
 	"math"
 )
 
-// Report is one round's sanitized payload. AppendBinary produces the
-// steady-state wire form (registration metadata such as the hash seed or
-// the sampled bucket indices is sent once, out of band, and excluded).
-type Report interface {
-	AppendBinary(dst []byte) []byte
-}
-
 // Client is the user-side state of a longitudinal protocol: it sanitizes
-// one value per collection round and tracks its own longitudinal privacy
-// ledger (Definition 3.2).
+// one value per collection round straight into the round's steady-state
+// wire payload and tracks its own longitudinal privacy ledger
+// (Definition 3.2). The payload is the only form a report takes: a
+// server tallies it through the protocol's WireTallier.
 type Client interface {
-	// Report sanitizes v (an index in [0..k)) for the current round and
-	// advances the client's clock.
-	Report(v int) Report
-	// Charge advances the privacy ledger exactly as Report(v) would,
-	// without producing a payload. Privacy-loss-only experiments (Fig. 4)
-	// use it to replay long sequences cheaply; the ledger state after a
-	// Charge is indistinguishable from the state after a Report.
+	AppendReporter
+	// Charge advances the privacy ledger exactly as AppendReport(dst, v)
+	// would, without producing a payload. Privacy-loss-only experiments
+	// (Fig. 4) use it to replay long sequences cheaply; the ledger state
+	// after a Charge is indistinguishable from the state after a report.
 	Charge(v int)
 	// PrivacySpent returns the longitudinal privacy loss ε̌ consumed so far.
 	PrivacySpent() float64
 }
 
-// AppendReporter is a Client with an allocation-free emission path: it can
-// write a round's steady-state wire payload straight into a caller buffer,
-// skipping the boxed Report and any intermediate encoding (the bitset of a
-// UE report). Every client in this repository implements it; collection
-// layers type-assert for it and fall back to Report for clients that
-// don't. AppendReport(dst, v) must emit exactly the bytes
-// Report(v).AppendBinary(nil) would for the same client state, so the two
-// paths are interchangeable round for round.
+// AppendReporter is the emission half of a Client: a round's wire payload
+// and the one-time enrollment metadata a server needs to tally it.
 type AppendReporter interface {
-	Client
-	// AppendReport sanitizes v for the current round, advances the
-	// client's clock exactly as Report(v) would, and appends the
+	// AppendReport sanitizes v (an index in [0..k)) for the current round,
+	// advances the client's clock and privacy ledger, and appends the
 	// steady-state wire payload to dst, returning the extended buffer.
 	// With capacity in dst the steady state performs no allocations.
 	AppendReport(dst []byte, v int) []byte
@@ -67,11 +60,10 @@ type AppendReporter interface {
 	WireRegistration() Registration
 }
 
-// Aggregator is the server-side state: it tallies the reports of one
-// collection round and produces the round's frequency estimates.
+// Aggregator is the server-side state: it holds the tallies of one
+// collection round and produces the round's frequency estimates. Reports
+// reach it only through the protocol's WireTallier.
 type Aggregator interface {
-	// Add tallies the report of the identified user for the current round.
-	Add(userID int, rep Report)
 	// EndRound finalizes the round and returns its frequency estimates
 	// over the estimation domain.
 	EndRound() []float64
@@ -83,9 +75,8 @@ type Aggregator interface {
 	// aggregator's lifetime. The pointer aliases the aggregator, so adding
 	// into it or resetting it moves round state in or out (sharding folds,
 	// restores and collector-tree merges all work this way). It may be
-	// read or written only while no Add or TallyWire runs on the
-	// aggregator; server.Stream calls it under its exclusive round
-	// barrier.
+	// read or written only while no TallyWire runs on the aggregator;
+	// server.Stream calls it under its exclusive round barrier.
 	Tally() *Tally
 }
 

@@ -96,9 +96,10 @@ func TestQuickClientReportsAlwaysDecodable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep := p.NewClient(seed).Report(v).(GRRValueReport)
-		got, rest, err := DecodeGRRValueReport(rep.AppendBinary(nil), k)
-		return err == nil && len(rest) == 0 && got.X == rep.X
+		payload := p.NewClient(seed).AppendReport(nil, v)
+		agg := p.NewAggregator()
+		err = p.WireTallier().TallyWire(agg, 0, payload, Registration{})
+		return err == nil && agg.Tally().N == 1 && agg.Tally().Counts[payload[0]] == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -135,7 +136,8 @@ func TestQuickLedgerNeverExceedsCap(t *testing.T) {
 }
 
 func TestQuickChargeReportLedgerEquivalence(t *testing.T) {
-	// Charge(v) and Report(v) must leave the ledger in the same state.
+	// Charge(v) and AppendReport(dst, v) must leave the ledger in the same
+	// state.
 	f := func(seed uint64, seqRaw []uint8) bool {
 		const k = 24
 		pa, err := NewLOSUE(k, 2, 1)
@@ -147,7 +149,7 @@ func TestQuickChargeReportLedgerEquivalence(t *testing.T) {
 		for _, s := range seqRaw {
 			v := int(s) % k
 			chargeOnly.Charge(v)
-			reporting.Report(v)
+			reporting.AppendReport(nil, v)
 			if math.Abs(chargeOnly.PrivacySpent()-reporting.PrivacySpent()) > 1e-12 {
 				return false
 			}

@@ -1,7 +1,9 @@
 package longitudinal
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/loloha-ldp/loloha/internal/domain"
@@ -21,11 +23,27 @@ func runRounds(t *testing.T, p Protocol, values [][]int) [][]float64 {
 	var out [][]float64
 	for _, round := range values {
 		for u, v := range round {
-			agg.Add(u, clients[u].Report(v))
+			tally(t, p, agg, u, clients[u], v)
 		}
 		out = append(out, agg.EndRound())
 	}
 	return out
+}
+
+// tally sends client cl's report of v, as user u, through the protocol's
+// WireTallier into agg.
+func tally(t testing.TB, p Protocol, agg Aggregator, u int, cl Client, v int) {
+	t.Helper()
+	tallyPayload(t, p, agg, u, cl.AppendReport(nil, v), cl.WireRegistration())
+}
+
+// tallyPayload tallies one payload through the protocol's WireTallier,
+// failing the test on a rejection.
+func tallyPayload(t testing.TB, p Protocol, agg Aggregator, u int, payload []byte, reg Registration) {
+	t.Helper()
+	if err := p.(TallyProtocol).WireTallier().TallyWire(agg, u, payload, reg); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // staticValues builds τ identical rounds of a skewed assignment over [0..k).
@@ -101,16 +119,15 @@ func TestMemoizationStableAcrossRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := dbit.NewClient(42)
-	first := cl.Report(33).(DBitReport)
+	first := cl.AppendReport(nil, 33)
 	for i := 0; i < 20; i++ {
-		rep := cl.Report(33).(DBitReport)
-		if !rep.Equal(first) {
+		if !bytes.Equal(cl.AppendReport(nil, 33), first) {
 			t.Fatal("dBitFlipPM re-randomized a memoized value")
 		}
 	}
 	// Values in the same bucket share the memoized response.
-	same := cl.Report(34).(DBitReport) // bucket(33)==bucket(34) for k=100,b=10
-	if !same.Equal(first) {
+	same := cl.AppendReport(nil, 34) // bucket(33)==bucket(34) for k=100,b=10
+	if !bytes.Equal(same, first) {
 		t.Error("values in one bucket produced different memoized responses")
 	}
 }
@@ -167,7 +184,7 @@ func TestPrivacyLedgerRAPPORCountsDistinctValues(t *testing.T) {
 	seq := []int{5, 5, 5, 9, 5, 9, 30, 5}
 	wantUnits := []int{1, 1, 1, 2, 2, 2, 3, 3}
 	for i, v := range seq {
-		cl.Report(v)
+		cl.AppendReport(nil, v)
 		want := float64(wantUnits[i]) * 1.0
 		if got := cl.PrivacySpent(); math.Abs(got-want) > 1e-12 {
 			t.Errorf("after %d reports: spent %v, want %v", i+1, got, want)
@@ -183,8 +200,8 @@ func TestPrivacyLedgerLGRRCapsAtK(t *testing.T) {
 	}
 	cl := p.NewClient(1)
 	for v := 0; v < k; v++ {
-		cl.Report(v)
-		cl.Report(v)
+		cl.AppendReport(nil, v)
+		cl.AppendReport(nil, v)
 	}
 	if got, want := cl.PrivacySpent(), float64(k)*2.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("spent %v, want cap %v", got, want)
@@ -201,7 +218,7 @@ func TestPrivacyLedgerDBitStates(t *testing.T) {
 	cl := p.NewClient(3)
 	r := randsrc.NewSeeded(4)
 	for i := 0; i < 200; i++ {
-		cl.Report(r.Intn(100))
+		cl.AppendReport(nil, r.Intn(100))
 	}
 	if got := cl.PrivacySpent(); got > 2*1.5+1e-12 {
 		t.Errorf("1BitFlipPM spent %v, cap is 2ε∞ = 3", got)
@@ -213,7 +230,7 @@ func TestPrivacyLedgerDBitStates(t *testing.T) {
 	}
 	cl2 := p2.NewClient(3)
 	for v := 0; v < 100; v++ {
-		cl2.Report(v)
+		cl2.AppendReport(nil, v)
 	}
 	if got, want := cl2.PrivacySpent(), 10*1.5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("bBitFlipPM spent %v, want %v", got, want)
@@ -226,22 +243,23 @@ func TestDBitFlipSampledBucketsFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := p.NewClient(9)
-	first := cl.Report(0).(DBitReport)
-	for i := 1; i < 30; i++ {
-		rep := cl.Report(i % 60).(DBitReport)
-		for l := range rep.Sampled {
-			if rep.Sampled[l] != first.Sampled[l] {
-				t.Fatal("sampled buckets changed across rounds")
-			}
+	first := slices.Clone(cl.WireRegistration().Sampled)
+	for i := 0; i < 30; i++ {
+		cl.AppendReport(nil, i%60)
+		if !slices.Equal(cl.WireRegistration().Sampled, first) {
+			t.Fatal("sampled buckets changed across rounds")
 		}
 	}
 	// Sampled buckets must be d distinct values in [0..b).
 	seen := map[int]bool{}
-	for _, j := range first.Sampled {
+	for _, j := range first {
 		if j < 0 || j >= 12 || seen[j] {
-			t.Fatalf("bad sampled set %v", first.Sampled)
+			t.Fatalf("bad sampled set %v", first)
 		}
 		seen[j] = true
+	}
+	if len(first) != 5 {
+		t.Fatalf("sampled %d buckets, want d = 5", len(first))
 	}
 }
 
@@ -273,9 +291,9 @@ func TestLGRRReportsStayInDomain(t *testing.T) {
 	}
 	cl := p.NewClient(5)
 	for i := 0; i < 500; i++ {
-		rep := cl.Report(i % 12).(GRRValueReport)
-		if rep.X < 0 || rep.X >= 12 {
-			t.Fatalf("report %d outside domain", rep.X)
+		rep := cl.AppendReport(nil, i%12)
+		if len(rep) != 1 || rep[0] >= 12 {
+			t.Fatalf("report %x outside domain", rep)
 		}
 	}
 }
@@ -289,10 +307,10 @@ func TestIRRFreshAcrossRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := p.NewClient(11)
-	first := cl.Report(7).(UEReport)
+	first := cl.AppendReport(nil, 7)
 	distinct := false
 	for i := 0; i < 10 && !distinct; i++ {
-		if !cl.Report(7).(UEReport).Bits.Equal(first.Bits) {
+		if !bytes.Equal(cl.AppendReport(nil, 7), first) {
 			distinct = true
 		}
 	}
@@ -301,24 +319,31 @@ func TestIRRFreshAcrossRounds(t *testing.T) {
 	}
 }
 
+// TestAggregatorRejectsForeignReports: a tallier refuses an aggregator of
+// another protocol and leaves it untouched.
 func TestAggregatorRejectsForeignReports(t *testing.T) {
 	rappor, _ := NewRAPPOR(8, 2, 1)
 	lgrr, _ := NewLGRR(8, 2, 1)
-	agg := rappor.NewAggregator()
-	rep := lgrr.NewClient(1).Report(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UE aggregator accepted a GRR report")
+	dbit, _ := NewDBitFlipPM(8, 4, 2, 1)
+	rappor16, _ := NewRAPPOR(16, 2, 1)
+	for _, tc := range []struct {
+		agg   Aggregator
+		proto TallyProtocol
+	}{{rappor.NewAggregator(), lgrr}, {lgrr.NewAggregator(), rappor}, {dbit.NewAggregator(), rappor}, {rappor16.NewAggregator(), rappor}} {
+		cl := tc.proto.NewClient(1)
+		if err := tc.proto.WireTallier().TallyWire(tc.agg, 0, cl.AppendReport(nil, 0), cl.WireRegistration()); err == nil {
+			t.Errorf("%T accepted a %s report", tc.agg, tc.proto.Name())
 		}
-	}()
-	agg.Add(0, rep)
+		if tc.agg.Tally().N != 0 {
+			t.Errorf("%T counted a rejected report", tc.agg)
+		}
+	}
 }
 
 func TestEndRoundResetsState(t *testing.T) {
 	p, _ := NewLGRR(4, 2, 1)
 	agg := p.NewAggregator()
-	cl := p.NewClient(1)
-	agg.Add(0, cl.Report(2))
+	tally(t, p, agg, 0, p.NewClient(1), 2)
 	_ = agg.EndRound()
 	// Second round with no reports: estimates are all-zero, not NaN.
 	est := agg.EndRound()
@@ -342,15 +367,15 @@ func TestReportEncodingSizes(t *testing.T) {
 	// dBitFlipPM = d bits (all byte-aligned in our wire format).
 	const k = 360
 	rappor, _ := NewRAPPOR(k, 2, 1)
-	if got := len(rappor.NewClient(1).Report(0).AppendBinary(nil)); got != (k+7)/8 {
+	if got := len(rappor.NewClient(1).AppendReport(nil, 0)); got != (k+7)/8 {
 		t.Errorf("RAPPOR report %d bytes, want %d", got, (k+7)/8)
 	}
 	lgrr, _ := NewLGRR(k, 2, 1)
-	if got := len(lgrr.NewClient(1).Report(0).AppendBinary(nil)); got != 2 {
+	if got := len(lgrr.NewClient(1).AppendReport(nil, 0)); got != 2 {
 		t.Errorf("L-GRR report %d bytes, want 2", got)
 	}
 	dbit, _ := NewDBitFlipPM(k, 90, 4, 2)
-	if got := len(dbit.NewClient(1).Report(0).AppendBinary(nil)); got != 1 {
+	if got := len(dbit.NewClient(1).AppendReport(nil, 0)); got != 1 {
 		t.Errorf("dBit report %d bytes, want 1", got)
 	}
 }

@@ -6,13 +6,24 @@ import (
 	"math"
 )
 
+// Registration carries a user's one-time enrollment metadata: everything a
+// tallier needs beyond the per-round payload bytes. A production
+// deployment ships it once at enrollment and then streams fixed-size
+// round payloads (Client.AppendReport) that a WireTallier tallies in
+// place.
+type Registration struct {
+	// HashSeed identifies a LOLOHA user's hash function (Algorithm 1,
+	// "Send H").
+	HashSeed uint64
+	// Sampled lists a dBitFlipPM user's fixed sampled buckets.
+	Sampled []int
+}
+
 // Canonical binary encoding for Registration — the enrollment half of the
-// wire contract. Round payloads have had a wire form since PR 2
-// (Report.AppendBinary); this gives the one-time enrollment metadata one
-// too, so a networked front end can carry enrollment over the same socket
-// as reports. The layout is fixed-width and positional, hence canonical:
-// a Registration has exactly one encoding and every valid encoding
-// re-encodes to the same bytes.
+// wire contract, so a networked front end can carry enrollment over the
+// same socket as reports. The layout is fixed-width and positional, hence
+// canonical: a Registration has exactly one encoding and every valid
+// encoding re-encodes to the same bytes.
 //
 //	u64 LE  HashSeed
 //	u32 LE  len(Sampled)

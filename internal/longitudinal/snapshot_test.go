@@ -51,8 +51,8 @@ func TestTallyAliasesRoundState(t *testing.T) {
 	}
 	main, shard := lgrr.NewAggregator(), lgrr.NewAggregator()
 	cl := lgrr.NewClient(1)
-	shard.Add(0, cl.Report(3))
-	shard.Add(1, cl.Report(5))
+	tally(t, lgrr, shard, 0, cl, 3)
+	tally(t, lgrr, shard, 1, cl, 5)
 	if got := shard.Tally().N; got != 2 {
 		t.Fatalf("shard tally n = %d after 2 reports", got)
 	}

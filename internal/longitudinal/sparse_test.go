@@ -62,8 +62,7 @@ func valueSequence(seed uint64, k, rounds int) []int {
 
 // TestChainUESparseDenseParity: for every chained-UE calibration and
 // domain size, a dense-pinned and a sparse-pinned protocol with identical
-// seeds must emit bit-identical reports — through AppendReport, through
-// the boxed Report path, and across both — and identical estimates.
+// seeds must emit bit-identical reports and identical estimates.
 func TestChainUESparseDenseParity(t *testing.T) {
 	chains := map[string]func(k int) (*ChainUE, error){
 		"RAPPOR": func(k int) (*ChainUE, error) { return NewRAPPOR(k, 2, 1) },
@@ -88,46 +87,14 @@ func TestChainUESparseDenseParity(t *testing.T) {
 						if !bytes.Equal(bufD, bufS) {
 							t.Fatalf("user %d value %d: dense %x != sparse %x", u, v, bufD, bufS)
 						}
-						aggD.Add(u, mustDecodeUE(t, bufD, k))
-						aggS.Add(u, mustDecodeUE(t, bufS, k))
+						tallyPayload(t, dense, aggD, u, bufD, Registration{})
+						tallyPayload(t, sparse, aggS, u, bufS, Registration{})
 					}
 				}
 				if !equalFloats(aggD.EndRound(), aggS.EndRound()) {
 					t.Fatal("dense and sparse estimates diverged")
 				}
 			})
-		}
-	}
-}
-
-// mustDecodeUE decodes one complete k-bit UE payload or fails the test.
-func mustDecodeUE(t *testing.T, payload []byte, k int) Report {
-	t.Helper()
-	rep, rest, err := DecodeUEReport(payload, k)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decoding UE payload: %v (%d trailing bytes)", err, len(rest))
-	}
-	return rep
-}
-
-// TestChainUEReportMatchesAppendReport: the boxed Report path and
-// AppendReport must emit identical bytes for identical client state.
-func TestChainUEReportMatchesAppendReport(t *testing.T) {
-	for _, k := range sparseParityKs {
-		p, err := NewLOSUE(k, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clA := p.NewClient(11)
-		clB := p.NewClient(11)
-		var buf []byte
-		for t2 := 0; t2 < 8; t2++ {
-			v := (t2 * 3) % k
-			boxed := clA.Report(v).AppendBinary(nil)
-			buf = clB.(AppendReporter).AppendReport(buf[:0], v)
-			if !bytes.Equal(boxed, buf) {
-				t.Fatalf("k=%d round %d: Report %x != AppendReport %x", k, t2, boxed, buf)
-			}
 		}
 	}
 }
@@ -156,56 +123,14 @@ func TestDBitSparseDenseParity(t *testing.T) {
 						if !bytes.Equal(bufD, bufS) {
 							t.Fatalf("user %d value %d: dense %x != sparse %x", u, v, bufD, bufS)
 						}
-						aggD.Add(u, clD.Report(v))
-						aggS.Add(u, clS.Report(v))
+						tallyPayload(t, dense, aggD, u, bufD, clD.WireRegistration())
+						tallyPayload(t, sparse, aggS, u, bufS, clS.WireRegistration())
 					}
 				}
 				if !equalFloats(aggD.EndRound(), aggS.EndRound()) {
 					t.Fatal("dense and sparse estimates diverged")
 				}
 			})
-		}
-	}
-}
-
-// TestDBitReportMatchesAppendReport: the packed AppendReport payload must
-// byte-match the boxed DBitReport serialization.
-func TestDBitReportMatchesAppendReport(t *testing.T) {
-	p, err := NewDBitFlipPM(64, 16, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := p.NewClient(5)
-	ar := cl.(AppendReporter)
-	var buf []byte
-	for v := 0; v < 64; v += 7 {
-		boxed := cl.Report(v).AppendBinary(nil)
-		buf = ar.AppendReport(buf[:0], v)
-		if !bytes.Equal(boxed, buf) {
-			t.Fatalf("value %d: Report %x != AppendReport %x", v, boxed, buf)
-		}
-	}
-}
-
-// TestLGRRReportMatchesAppendReport: same-seed clients on the two paths
-// must emit identical wire bytes (the scalar families have no dense/sparse
-// split; parity here is boxed-vs-append).
-func TestLGRRReportMatchesAppendReport(t *testing.T) {
-	for _, k := range sparseParityKs {
-		p, err := NewLGRR(k, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clA, clB := p.NewClient(13), p.NewClient(13)
-		ar := clB.(AppendReporter)
-		var buf []byte
-		for i := 0; i < 20; i++ {
-			v := (i * 5) % k
-			boxed := clA.Report(v).AppendBinary(nil)
-			buf = ar.AppendReport(buf[:0], v)
-			if !bytes.Equal(boxed, buf) {
-				t.Fatalf("k=%d round %d: Report %x != AppendReport %x", k, i, boxed, buf)
-			}
 		}
 	}
 }

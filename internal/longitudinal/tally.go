@@ -9,15 +9,15 @@ import (
 // Tally-direct ingestion. A WireTallier decodes a steady-state payload in
 // place (views over the payload bytes, no intermediate report structs) and
 // bumps the aggregator's support counts directly, so wire ingestion
-// performs zero allocations per report. Estimates are bit-identical to the
-// boxed Client.Report + Aggregator.Add reference: both bump the same
-// integer tallies.
+// performs zero allocations per report. It is the only way a report
+// reaches an aggregator.
 
 // WireTallier tallies one steady-state round payload directly into an
-// aggregator, without materializing a Report. Steady-state payloads are
-// fixed-size for a given protocol configuration, so the same tallier
-// serves single reports and the packed payload column of a columnar
-// batch.
+// aggregator. Steady-state payloads are fixed-size for a given protocol
+// configuration, so the same tallier serves single reports and the packed
+// payload column of a columnar batch. Its counts, report count and the
+// aggregator's estimates are checked, for every registered family, against
+// internal/reference, a server written independently from the paper.
 type WireTallier interface {
 	// PayloadStride returns the exact steady-state payload size in bytes.
 	PayloadStride() int

@@ -7,27 +7,8 @@ import (
 	_ "github.com/loloha-ldp/loloha/internal/core" // registers the LOLOHA families
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
+	"github.com/loloha-ldp/loloha/internal/reference"
 )
-
-// tallySpec returns a feasible spec for every registered family, so the
-// fuzz target covers families added later (it fails loudly on a family it
-// cannot parameterize).
-func tallySpec(tb testing.TB, family string) longitudinal.ProtocolSpec {
-	tb.Helper()
-	const k = 24
-	switch family {
-	case "dBitFlipPM":
-		return longitudinal.ProtocolSpec{Family: family, K: k, B: 8, D: 3, EpsInf: 2}
-	case "1BitFlipPM", "bBitFlipPM":
-		return longitudinal.ProtocolSpec{Family: family, K: k, B: 8, EpsInf: 2}
-	case "LOLOHA":
-		return longitudinal.ProtocolSpec{Family: family, K: k, G: 3, EpsInf: 2, Eps1: 1}
-	case "RAPPOR", "L-OSUE", "L-OUE", "L-SOUE", "L-GRR", "BiLOLOHA", "OLOLOHA":
-		return longitudinal.ProtocolSpec{Family: family, K: k, EpsInf: 2, Eps1: 1}
-	}
-	tb.Fatalf("no fuzz spec for registered family %q — add one", family)
-	return longitudinal.ProtocolSpec{}
-}
 
 // FuzzTallyWire feeds arbitrary payload and registration bytes to every
 // built-in family's WireTallier — the input validation every wire report
@@ -40,7 +21,11 @@ func FuzzTallyWire(f *testing.F) {
 	families := longitudinal.Families()
 	protos := make([]longitudinal.Protocol, len(families))
 	for i, fam := range families {
-		p, err := tallySpec(f, fam).Build()
+		spec, err := reference.Spec(fam, 24)
+		if err != nil {
+			f.Fatal(err)
+		}
+		p, err := spec.Build()
 		if err != nil {
 			f.Fatalf("%s: %v", fam, err)
 		}
@@ -51,7 +36,7 @@ func FuzzTallyWire(f *testing.F) {
 	// payload truncated and extended, and hostile registrations (a bucket
 	// past b, too few buckets, a negative bucket).
 	for i, p := range protos {
-		cl := p.NewClient(randsrc.Derive(5, uint64(i))).(longitudinal.AppendReporter)
+		cl := p.NewClient(randsrc.Derive(5, uint64(i)))
 		payload := cl.AppendReport(nil, 3)
 		reg := cl.WireRegistration()
 		honest, err := longitudinal.AppendRegistration(nil, reg)
@@ -80,7 +65,7 @@ func FuzzTallyWire(f *testing.F) {
 
 		// One honest report first, so "unchanged" is checked against a
 		// non-empty tally.
-		cl := proto.NewClient(7).(longitudinal.AppendReporter)
+		cl := proto.NewClient(7)
 		if err := tallier.TallyWire(agg, 0, cl.AppendReport(nil, 1), cl.WireRegistration()); err != nil {
 			t.Fatalf("honest report rejected: %v", err)
 		}

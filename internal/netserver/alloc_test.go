@@ -55,7 +55,7 @@ func TestTCPColumnarZeroAlloc(t *testing.T) {
 		w.Reset()
 		for j := 0; j < batch; j++ {
 			u := i*batch + j
-			cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+			cl := proto.NewClient(uint64(u))
 			if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestColumnarDecodeZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+		cl := proto.NewClient(uint64(u))
 		if err := w.Add(u, cl.AppendReport(nil, u%proto.K())); err != nil {
 			t.Fatal(err)
 		}

@@ -114,10 +114,7 @@ func newRoundFixture(b *testing.B, proto longitudinal.Protocol, n int) *roundFix
 		payloads: make([][]byte, n),
 	}
 	for u := 0; u < n; u++ {
-		cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-		if !ok {
-			b.Fatalf("%s client does not implement AppendReporter", proto.Name())
-		}
+		cl := proto.NewClient(uint64(u))
 		fx.ids[u] = u
 		fx.regs[u] = cl.WireRegistration()
 		fx.payloads[u] = cl.AppendReport(nil, u%proto.K())

@@ -172,15 +172,12 @@ func TestEndToEndParity(t *testing.T) {
 				// JSON, and over enroll frames. The single-batch columnar
 				// legs enroll through their round-0 registration columns
 				// instead.
-				clients := make([]longitudinal.AppendReporter, n)
+				clients := make([]longitudinal.Client, n)
 				regs := make([]longitudinal.Registration, n)
 				ids := make([]int, n)
 				var frames []byte
 				for u := range clients {
-					cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-					if !ok {
-						t.Fatalf("%s client does not implement AppendReporter", family)
-					}
+					cl := proto.NewClient(uint64(u))
 					clients[u], ids[u] = cl, u
 					reg := cl.WireRegistration()
 					regs[u] = reg
@@ -381,7 +378,7 @@ func TestSSERoundStream(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	cl := proto.NewClient(1).(longitudinal.AppendReporter)
+	cl := proto.NewClient(1)
 	if err := stream.Enroll(1, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +424,7 @@ func TestStatusAndDashboard(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cl := proto.NewClient(9).(longitudinal.AppendReporter)
+	cl := proto.NewClient(9)
 	if err := stream.Enroll(9, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +664,7 @@ func TestServerCloseLeavesStreamOpen(t *testing.T) {
 	srv := newTestServer(t, stream, Config{})
 	conn := dialTCPServer(t, srv)
 
-	cl := proto.NewClient(5).(longitudinal.AppendReporter)
+	cl := proto.NewClient(5)
 	frames, err := AppendEnrollFrame(nil, 5, cl.WireRegistration())
 	if err != nil {
 		t.Fatal(err)
@@ -705,7 +702,7 @@ func TestRoundTimerClosesPendingRounds(t *testing.T) {
 	stream := newTestStream(t, proto)
 	newTestServer(t, stream, Config{RoundEvery: 5 * time.Millisecond})
 
-	cl := proto.NewClient(3).(longitudinal.AppendReporter)
+	cl := proto.NewClient(3)
 	if err := stream.Enroll(3, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}

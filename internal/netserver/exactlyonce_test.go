@@ -39,7 +39,7 @@ func exportEnvelope(t *testing.T, s *server.Stream, leaf string, seq uint64) ([]
 }
 
 // ingestRound feeds one deterministic report per client into each stream.
-func ingestRound(t *testing.T, proto longitudinal.Protocol, clients []longitudinal.AppendReporter,
+func ingestRound(t *testing.T, proto longitudinal.Protocol, clients []longitudinal.Client,
 	round int, streams ...*server.Stream) {
 	t.Helper()
 	for u, cl := range clients {
@@ -241,9 +241,9 @@ func TestRootRestartDedupOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := newTestStream(t, proto)
-	clients := make([]longitudinal.AppendReporter, n)
+	clients := make([]longitudinal.Client, n)
 	for u := range clients {
-		cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+		cl := proto.NewClient(uint64(u))
 		clients[u] = cl
 		if err := leaf.Enroll(u, cl.WireRegistration()); err != nil {
 			t.Fatal(err)
@@ -332,9 +332,9 @@ func TestRootDeadlinePartialRound(t *testing.T) {
 
 	leafA := newTestStream(t, proto)
 	leafB := newTestStream(t, proto)
-	clients := make([]longitudinal.AppendReporter, 2*n)
+	clients := make([]longitudinal.Client, 2*n)
 	for u := range clients {
-		cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+		cl := proto.NewClient(uint64(u))
 		clients[u] = cl
 		target := leafA
 		if u >= n {
@@ -459,7 +459,7 @@ func TestDrainAbandonedShipRedelivered(t *testing.T) {
 		ShipRetryMax: 10 * time.Millisecond,
 	})
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+		cl := proto.NewClient(uint64(u))
 		if err := leafStream.Enroll(u, cl.WireRegistration()); err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func FuzzFrameStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cl := proto.NewClient(1).(longitudinal.AppendReporter)
+	cl := proto.NewClient(1)
 	session, err := AppendEnrollFrame(nil, 1, cl.WireRegistration())
 	if err != nil {
 		f.Fatal(err)
@@ -103,7 +103,7 @@ func FuzzMergeFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cl := proto.NewClient(3).(longitudinal.AppendReporter)
+	cl := proto.NewClient(3)
 	if err := leaf.Enroll(3, cl.WireRegistration()); err != nil {
 		f.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func FuzzBatchBody(f *testing.F) {
 	}
 	stride, _ := longitudinal.ColumnarStrideOf(proto)
 	hash := longitudinal.SpecHashOf(proto)
-	cl := proto.NewClient(1).(longitudinal.AppendReporter)
+	cl := proto.NewClient(1)
 
 	// Seeds: an empty body, a warm batch, a cold enroll-and-report batch,
 	// a truncated header, trailing garbage, and a batch whose declared

@@ -61,10 +61,10 @@ func TestIngestColumnarParity(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				clients := make([]longitudinal.AppendReporter, n)
+				clients := make([]longitudinal.Client, n)
 				regs := make([]longitudinal.Registration, n)
 				for u := range clients {
-					clients[u] = proto.NewClient(randsrc.Derive(11, uint64(u))).(longitudinal.AppendReporter)
+					clients[u] = proto.NewClient(randsrc.Derive(11, uint64(u)))
 					regs[u] = clients[u].WireRegistration()
 					if err := ref.Enroll(u, regs[u]); err != nil {
 						t.Fatalf("enroll %d: %v", u, err)
@@ -179,7 +179,7 @@ func TestIngestColumnarRejections(t *testing.T) {
 
 	t.Run("duplicate row rejected, first tallied", func(t *testing.T) {
 		s := newStream()
-		cl := proto.NewClient(3).(longitudinal.AppendReporter)
+		cl := proto.NewClient(3)
 		if err := s.Enroll(8, cl.WireRegistration()); err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestIngestColumnarRejections(t *testing.T) {
 
 	t.Run("conflicting registration reported, report still tallies", func(t *testing.T) {
 		s := newStream()
-		cl := proto.NewClient(3).(longitudinal.AppendReporter)
+		cl := proto.NewClient(3)
 		reg := cl.WireRegistration()
 		if err := s.Enroll(8, reg); err != nil {
 			t.Fatal(err)

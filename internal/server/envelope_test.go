@@ -43,7 +43,7 @@ func newTreeFixture(t *testing.T, k, n, rounds, leaves int) *treeFixture {
 		f.payloads[r] = make([][]byte, n)
 	}
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(randsrc.Derive(23, uint64(u))).(longitudinal.AppendReporter)
+		cl := proto.NewClient(randsrc.Derive(23, uint64(u)))
 		reg := cl.WireRegistration()
 		if err := f.single.Enroll(u, reg); err != nil {
 			t.Fatal(err)

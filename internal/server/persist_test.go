@@ -23,7 +23,7 @@ func buildParityFleet(t *testing.T, proto longitudinal.Protocol, n, rounds, k in
 		payloads[r] = make([][]byte, n)
 	}
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(randsrc.Derive(23, uint64(u))).(longitudinal.AppendReporter)
+		cl := proto.NewClient(randsrc.Derive(23, uint64(u)))
 		reg := cl.WireRegistration()
 		for _, s := range streams {
 			if err := s.Enroll(u, reg); err != nil {
@@ -260,7 +260,7 @@ func TestMergeTreeParity(t *testing.T) {
 						payloads[r] = make([][]byte, n)
 					}
 					for u := 0; u < n; u++ {
-						cl := proto.NewClient(randsrc.Derive(23, uint64(u))).(longitudinal.AppendReporter)
+						cl := proto.NewClient(randsrc.Derive(23, uint64(u)))
 						reg := cl.WireRegistration()
 						if err := single.Enroll(u, reg); err != nil {
 							t.Fatal(err)

@@ -4,9 +4,9 @@
 // for UE/GRR chains), then stream fixed-size round payloads as raw bytes.
 // The service tallies and publishes per-round results.
 //
-// Stream is the production-facing face of the library: everything the
-// simulation harness does with in-memory Report values, a Stream does from
-// bytes — and tests prove the paths produce identical estimates.
+// Stream is the production-facing face of the library: in-process cohort
+// rounds (WithCohort) and wire ingestion run the same tally, and tests
+// check every path against internal/reference.
 //
 // Payload ingestion is tally-direct: the protocol must implement
 // longitudinal.TallyProtocol, whose WireTallier validates registrations

@@ -2,22 +2,15 @@ package server
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/loloha-ldp/loloha/internal/core"
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
+	"github.com/loloha-ldp/loloha/internal/reference"
 )
-
-func registrationOf(cl longitudinal.Client) Registration {
-	switch c := cl.(type) {
-	case *core.Client:
-		return Registration{HashSeed: c.HashSeed()}
-	default:
-		return Registration{}
-	}
-}
 
 // newTestStream returns the default Stream for proto, failing the test on
 // a construction error.
@@ -30,62 +23,54 @@ func newTestStream(t *testing.T, proto longitudinal.Protocol) *Stream {
 	return s
 }
 
+// TestCollectionMatchesDirectAggregation: the byte path (Enroll, Ingest,
+// CloseRound) matches the independent reference server for every
+// registered family — counts and n exactly, estimates bit for bit.
 func TestCollectionMatchesDirectAggregation(t *testing.T) {
-	// Byte path (Enroll/Ingest/CloseRound) vs direct Aggregator: identical
-	// estimates for every protocol family.
 	const k, n, rounds = 24, 1200, 3
-	protos := map[string]longitudinal.Protocol{}
-	if p, err := core.NewBinary(k, 2, 1); err == nil {
-		protos["LOLOHA"] = p
-	}
-	if p, err := longitudinal.NewRAPPOR(k, 2, 1); err == nil {
-		protos["RAPPOR"] = p
-	}
-	if p, err := longitudinal.NewLGRR(k, 2, 1); err == nil {
-		protos["L-GRR"] = p
-	}
-	if p, err := longitudinal.NewDBitFlipPM(k, 8, 3, 2); err == nil {
-		protos["dBitFlipPM"] = p
-	}
-	for name, proto := range protos {
+	for _, name := range longitudinal.Families() {
+		spec, err := reference.Spec(name, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		col := newTestStream(t, proto)
-		direct := proto.NewAggregator()
-
+		ref, err := reference.New(proto)
+		if err != nil {
+			t.Fatal(err)
+		}
 		clients := make([]longitudinal.Client, n)
 		for u := range clients {
 			clients[u] = proto.NewClient(randsrc.Derive(9, uint64(u)))
-			reg := registrationOf(clients[u])
-			// dBit clients expose sampled buckets through their first
-			// report; enroll after we see it below.
-			if name != "dBitFlipPM" {
-				if err := col.Enroll(u, reg); err != nil {
-					t.Fatalf("%s: enroll: %v", name, err)
-				}
+			if err := col.Enroll(u, clients[u].WireRegistration()); err != nil {
+				t.Fatalf("%s: enroll: %v", name, err)
 			}
 		}
 		r := randsrc.NewSeeded(33)
 		for round := 0; round < rounds; round++ {
 			for u, cl := range clients {
-				v := (u + round*r.Intn(k)) % k
-				rep := cl.Report(v)
-				direct.Add(u, rep)
-				if name == "dBitFlipPM" && round == 0 {
-					db := rep.(longitudinal.DBitReport)
-					if err := col.Enroll(u, Registration{Sampled: db.Sampled}); err != nil {
-						t.Fatalf("%s: enroll: %v", name, err)
-					}
+				payload := cl.AppendReport(nil, (u+round*r.Intn(k))%k)
+				if err := ref.Add(payload, cl.WireRegistration()); err != nil {
+					t.Fatalf("%s: reference rejected a client payload: %v", name, err)
 				}
-				if err := col.Ingest(u, rep.AppendBinary(nil)); err != nil {
+				if err := col.Ingest(u, payload); err != nil {
 					t.Fatalf("%s: ingest: %v", name, err)
 				}
 			}
-			wire := col.CloseRound().Raw
-			want := direct.EndRound()
-			for v := range want {
-				if math.Abs(wire[v]-want[v]) > 1e-15 {
-					t.Fatalf("%s round %d: wire estimate %v != direct %v",
-						name, round, wire[v], want[v])
-				}
+			res, snap, err := col.CloseRoundExport()
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, nRef, want := ref.EndRound()
+			got := snap.Shards[0].Tally
+			if got.N != nRef || res.Reports != nRef || !slices.Equal(got.Counts, counts) {
+				t.Fatalf("%s round %d: counts %v n=%d, reference %v n=%d", name, round, got.Counts, got.N, counts, nRef)
+			}
+			if !slices.Equal(res.Raw, want) {
+				t.Fatalf("%s round %d: wire estimates %v != reference %v", name, round, res.Raw, want)
 			}
 		}
 		if col.Rounds() != rounds || col.Enrolled() != n {
@@ -97,13 +82,13 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 	proto, _ := core.NewBinary(10, 2, 1)
 	col := newTestStream(t, proto)
-	cl := proto.NewClient(1).(*core.Client)
-	payload := cl.ReportValue(3).AppendBinary(nil)
+	cl := proto.NewClient(1)
+	payload := cl.AppendReport(nil, 3)
 
 	if err := col.Ingest(0, payload); err == nil {
 		t.Error("unenrolled ingest accepted")
 	}
-	if err := col.Enroll(0, Registration{HashSeed: cl.HashSeed()}); err != nil {
+	if err := col.Enroll(0, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.Ingest(0, payload); err != nil {
@@ -113,7 +98,7 @@ func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 		t.Error("duplicate report in one round accepted")
 	}
 	col.CloseRound()
-	if err := col.Ingest(0, cl.ReportValue(3).AppendBinary(nil)); err != nil {
+	if err := col.Ingest(0, cl.AppendReport(nil, 3)); err != nil {
 		t.Errorf("fresh round report rejected: %v", err)
 	}
 }
@@ -157,11 +142,11 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 	// slice, so a caller mutating the result corrupted published rounds.
 	proto, _ := core.NewBinary(12, 2, 1)
 	col := newTestStream(t, proto)
-	cl := proto.NewClient(3).(*core.Client)
-	if err := col.Enroll(0, Registration{HashSeed: cl.HashSeed()}); err != nil {
+	cl := proto.NewClient(3)
+	if err := col.Enroll(0, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Ingest(0, cl.ReportValue(5).AppendBinary(nil)); err != nil {
+	if err := col.Ingest(0, cl.AppendReport(nil, 5)); err != nil {
 		t.Fatal(err)
 	}
 	closed := col.CloseRound().Raw
@@ -231,11 +216,11 @@ func TestCollectionConcurrentIngest(t *testing.T) {
 	col := newTestStream(t, proto)
 	payloads := make([][]byte, n)
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(uint64(u)).(*core.Client)
-		if err := col.Enroll(u, Registration{HashSeed: cl.HashSeed()}); err != nil {
+		cl := proto.NewClient(uint64(u))
+		if err := col.Enroll(u, cl.WireRegistration()); err != nil {
 			t.Fatal(err)
 		}
-		payloads[u] = cl.ReportValue(u % k).AppendBinary(nil)
+		payloads[u] = cl.AppendReport(nil, u%k)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, n)

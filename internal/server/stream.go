@@ -85,7 +85,7 @@ type Stream struct {
 	// fixed at construction: block i reports into cohortBufs[i] and
 	// tallies on shards[i]. A user never changes shard, so per-user
 	// aggregator state (LOLOHA's support table) is built once.
-	clients      []longitudinal.AppendReporter
+	clients      []longitudinal.Client
 	cohortBounds []int
 	cohortBufs   [][]byte
 }
@@ -194,11 +194,10 @@ func WithRoundCapacity(n int) Option {
 
 // WithCohort attaches n in-process simulation clients, client u seeded
 // randsrc.Derive(seed, u), so Collect can drive complete rounds from raw
-// values. The protocol's clients must implement
-// longitudinal.AppendReporter; NewStream refuses the cohort otherwise.
-// The clients own user IDs [0..n): wire enrollment under those IDs is
-// rejected, since it would tally a user twice per round. Production
-// deployments run clients on devices and use the wire path instead.
+// values. The clients own user IDs [0..n): wire enrollment under those
+// IDs is rejected, since it would tally a user twice per round.
+// Production deployments run clients on devices and use the wire path
+// instead.
 func WithCohort(n int, seed uint64) Option {
 	return func(c *streamConfig) { c.cohortN = n; c.cohortSet = true; c.seed = seed }
 }
@@ -267,14 +266,9 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	}
 
 	if cfg.cohortSet {
-		s.clients = make([]longitudinal.AppendReporter, cfg.cohortN)
+		s.clients = make([]longitudinal.Client, cfg.cohortN)
 		for u := range s.clients {
-			cl := proto.NewClient(randsrc.Derive(cfg.seed, uint64(u)))
-			ar, ok := cl.(longitudinal.AppendReporter)
-			if !ok {
-				return nil, fmt.Errorf("server: cohort client %T does not implement longitudinal.AppendReporter", cl)
-			}
-			s.clients[u] = ar
+			s.clients[u] = proto.NewClient(randsrc.Derive(cfg.seed, uint64(u)))
 		}
 		blocks := min(len(s.shards), cfg.cohortN)
 		s.cohortBounds = make([]int, blocks+1)

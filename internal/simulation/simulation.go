@@ -441,9 +441,8 @@ func Replay(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64) [][]
 
 // ReplaySharded is Replay with the per-round client loop sharded over the
 // given number of goroutines; estimates are bit-identical to Replay. The
-// protocol must be a TallyProtocol whose clients implement
-// AppendReporter, as every registered family's are, over at least the
-// dataset's domain; ReplaySharded panics otherwise.
+// protocol must be a TallyProtocol, as every registered family is, over
+// at least the dataset's domain; ReplaySharded panics otherwise.
 func ReplaySharded(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64, shards int) [][]float64 {
 	stream, err := newCohortStream(ds, proto, seed, shards)
 	if err != nil {

@@ -155,7 +155,6 @@ var trustTable = []trustRule{
 	{"internal/longitudinal", "ColumnarBatch", "Payload"},
 	{"internal/longitudinal", "ColumnarBatch", "Registration"},
 	// core's annotated surface, for the server package.
-	{"internal/core", "Aggregator", "AddReport"},
 	{"internal/core", "Client", "AppendReport"},
 	// server's annotated ingestion surface, for the netserver frame loop.
 	{"internal/server", "Stream", "Ingest"},

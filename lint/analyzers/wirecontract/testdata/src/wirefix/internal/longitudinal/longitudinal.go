@@ -18,8 +18,6 @@ type WireTallier interface {
 
 type TallyProtocol interface{ WireTallier() WireTallier }
 
-type AppendReporter interface{ AppendReport([]byte, int) []byte }
-
 type FamilyInfo struct {
 	Build func(ProtocolSpec) (Protocol, error)
 }
@@ -31,23 +29,16 @@ type goodTallier struct{}
 func (goodTallier) TallyWire(payload []byte) error { return nil }
 func (goodTallier) PayloadStride() int             { return 1 }
 
-// good is the fully asserted fast-path family.
+// good is the fully asserted family.
 type good struct{}
 
 func (*good) K() int                   { return 2 }
 func (*good) Spec() ProtocolSpec       { return ProtocolSpec{Name: "good"} }
 func (*good) WireTallier() WireTallier { return goodTallier{} }
 
-func (p *good) NewClient(seed uint64) *goodClient { return &goodClient{} }
-
-type goodClient struct{}
-
-func (*goodClient) AppendReport(dst []byte, v int) []byte { return dst }
-
 var (
-	_ SpecProtocol   = (*good)(nil)
-	_ TallyProtocol  = (*good)(nil)
-	_ AppendReporter = (*goodClient)(nil)
+	_ SpecProtocol  = (*good)(nil)
+	_ TallyProtocol = (*good)(nil)
 )
 
 // missing implements the wire path but forgot its assertions.
@@ -57,13 +48,13 @@ func (*missing) K() int                   { return 2 }
 func (*missing) Spec() ProtocolSpec       { return ProtocolSpec{Name: "missing"} }
 func (*missing) WireTallier() WireTallier { return goodTallier{} }
 
-// boxedProto has no tallier: a Stream cannot ingest it.
-type boxedProto struct{}
+// untalliedProto has no tallier: a Stream cannot ingest it.
+type untalliedProto struct{}
 
-func (*boxedProto) K() int             { return 2 }
-func (*boxedProto) Spec() ProtocolSpec { return ProtocolSpec{Name: "boxed"} }
+func (*untalliedProto) K() int             { return 2 }
+func (*untalliedProto) Spec() ProtocolSpec { return ProtocolSpec{Name: "untallied"} }
 
-var _ SpecProtocol = (*boxedProto)(nil)
+var _ SpecProtocol = (*untalliedProto)(nil)
 
 func init() {
 	RegisterFamily("good", FamilyInfo{ // ok: implemented and asserted
@@ -72,7 +63,7 @@ func init() {
 	RegisterFamily("missing", FamilyInfo{ // want "var _ SpecProtocol" "var _ TallyProtocol"
 		Build: func(s ProtocolSpec) (Protocol, error) { return &missing{}, nil },
 	})
-	RegisterFamily("boxed", FamilyInfo{ // want "does not implement TallyProtocol"
-		Build: func(s ProtocolSpec) (Protocol, error) { return &boxedProto{}, nil },
+	RegisterFamily("untallied", FamilyInfo{ // want "does not implement TallyProtocol"
+		Build: func(s ProtocolSpec) (Protocol, error) { return &untalliedProto{}, nil },
 	})
 }

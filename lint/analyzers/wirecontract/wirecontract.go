@@ -1,9 +1,8 @@
 // Package wirecontract keeps protocol families on the wire path. A family
-// registered with longitudinal.RegisterFamily whose protocol, client or
-// aggregator type silently stops implementing a wire interface fails only
-// at run time — a Stream refuses a protocol without TallyProtocol, and a
-// cohort (WithCohort) of clients without AppendReporter — with no compile
-// error. The analyzer makes that loud, with no escape hatch:
+// registered with longitudinal.RegisterFamily whose protocol type silently
+// stops implementing a wire interface fails only at run time — a Stream
+// refuses a protocol without TallyProtocol — with no compile error. The
+// analyzer makes that loud, with no escape hatch:
 //
 //   - Every concrete protocol type returned by a family's Build hook must
 //     carry a package-level compile-time assertion
@@ -11,14 +10,14 @@
 //     the interface in the first place.
 //   - The protocol must implement TallyProtocol, the only ingestion path,
 //     and carry the same assertion for it.
-//   - The concrete client type returned by the protocol's NewClient must
-//     implement AppendReporter and carry its assertion.
 //
-// Aggregators need no rule: their round-state accessor (Tally) is a
-// method of the Aggregator interface itself, so the compiler enforces it.
+// Clients and aggregators need no rule: AppendReport and WireRegistration
+// are methods of the Client interface, and the round-state accessor
+// (Tally) of the Aggregator interface, so NewClient and NewAggregator
+// cannot compile without them.
 //
-// Resolution is intra-package and one level deep: Build/NewClient bodies
-// whose returns have concrete static types (the idiom everywhere in this
+// Resolution is intra-package and one level deep: Build bodies whose
+// returns have concrete static types (the idiom everywhere in this
 // repository) are resolved; a hook returning an interface-typed expression
 // that cannot be resolved is skipped, not flagged.
 package wirecontract
@@ -99,7 +98,6 @@ func checkFamily(pass *analysis.Pass, asserts []assertion, reported map[string]b
 	}
 	specIface := lookupIface(registry, "SpecProtocol")
 	tallyIface := lookupIface(registry, "TallyProtocol")
-	reporterIface := lookupIface(registry, "AppendReporter")
 
 	for _, proto := range resolveReturns(pass, build) {
 		key := proto.String()
@@ -123,24 +121,6 @@ func checkFamily(pass *analysis.Pass, asserts []assertion, reported map[string]b
 			case !asserted(asserts, tallyIface, proto):
 				pass.Reportf(call.Pos(), "missing compile-time assertion: var _ TallyProtocol = (%s)(nil)", proto)
 			}
-		}
-		if reporterIface == nil {
-			continue
-		}
-		client := resolveClientType(pass, proto)
-		if client == nil {
-			continue
-		}
-		ckey := client.String() + " reporter"
-		if reported[ckey] {
-			continue
-		}
-		reported[ckey] = true
-		switch {
-		case !implements(client, reporterIface):
-			pass.Reportf(call.Pos(), "client %s does not implement AppendReporter: a Stream refuses a cohort of it (WithCohort) and it has no allocation-free report path", client)
-		case !asserted(asserts, reporterIface, client):
-			pass.Reportf(call.Pos(), "missing compile-time assertion: var _ AppendReporter = (%s)(nil)", client)
 		}
 	}
 }
@@ -258,49 +238,6 @@ func resolveReturns(pass *analysis.Pass, build ast.Expr) []types.Type {
 		}
 	}
 	return out
-}
-
-// resolveClientType finds the concrete static type of the first result
-// returned by proto's NewClient, by reading the method's declaration in
-// this package. Returns nil when the method or its body is elsewhere, or
-// when every return is interface-typed (unresolvable, so skipped).
-func resolveClientType(pass *analysis.Pass, proto types.Type) types.Type {
-	obj, _, _ := types.LookupFieldOrMethod(proto, true, pass.Pkg, "NewClient")
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	fd := declOf(pass, fn)
-	if fd == nil || fd.Body == nil {
-		return nil
-	}
-	var client types.Type
-	forEachReturn(fd.Body, func(ret *ast.ReturnStmt) {
-		if client != nil || len(ret.Results) == 0 {
-			return
-		}
-		tv := pass.TypesInfo.Types[ret.Results[0]]
-		if tv.IsNil() {
-			return
-		}
-		t := firstOfTuple(tv.Type)
-		if _, isIface := t.Underlying().(*types.Interface); isIface {
-			return
-		}
-		client = t
-	})
-	return client
-}
-
-func declOf(pass *analysis.Pass, fn *types.Func) *ast.FuncDecl {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && pass.TypesInfo.Defs[fd.Name] == fn {
-				return fd
-			}
-		}
-	}
-	return nil
 }
 
 // forEachReturn visits returns belonging to body itself, not to nested

@@ -6,9 +6,10 @@
 // build on (GRR, BLH/OLH, SUE/OUE).
 //
 // The core abstraction is a Protocol that binds a per-user Client (which
-// sanitizes one value per collection round and tracks its own longitudinal
-// privacy ledger) to a server-side Aggregator (which tallies a round of
-// reports and produces unbiased frequency estimates).
+// sanitizes one value per collection round into its wire payload and
+// tracks its own longitudinal privacy ledger) to a server-side Aggregator
+// (which tallies a round of payloads through the protocol's WireTallier
+// and produces unbiased frequency estimates).
 //
 //	proto, _ := loloha.NewBiLOLOHA(k, 1.0 /* ε∞ */, 0.5 /* ε1 */)
 //	stream, _ := loloha.NewStream(proto, loloha.WithCohort(numUsers, seed))
@@ -34,11 +35,15 @@ import (
 	"github.com/loloha-ldp/loloha/internal/server"
 )
 
-// Client is the per-user side of a longitudinal protocol. See
-// internal/longitudinal for the contract.
+// Client is the per-user side of a longitudinal protocol: AppendReport
+// writes each round's steady-state wire payload into a caller buffer (zero
+// allocations in steady state), WireRegistration exposes the one-time
+// enrollment metadata, and Charge/PrivacySpent keep the longitudinal
+// privacy ledger. See internal/longitudinal for the contract.
 type Client = longitudinal.Client
 
-// Aggregator is the server side of a longitudinal protocol.
+// Aggregator is the server side of a longitudinal protocol. Reports reach
+// it only through the protocol's WireTallier.
 type Aggregator = longitudinal.Aggregator
 
 // Tally is an aggregator's open round: integer support counts plus the
@@ -50,17 +55,6 @@ type Tally = longitudinal.Tally
 
 // Protocol binds clients and aggregators together.
 type Protocol = longitudinal.Protocol
-
-// Report is one round's sanitized payload.
-type Report = longitudinal.Report
-
-// AppendReporter is a Client with an allocation-free emission path:
-// AppendReport writes the round's steady-state wire payload straight into
-// a caller buffer (no boxed Report, no intermediate bitset) and
-// WireRegistration exposes the client's enrollment metadata. Every client
-// in this repository implements it; collection layers use it automatically
-// and fall back to Report for clients that don't.
-type AppendReporter = longitudinal.AppendReporter
 
 // LOLOHA is the configured protocol of the paper (Algorithms 1 and 2).
 type LOLOHA = core.Protocol
@@ -159,9 +153,9 @@ type RoundResult = server.RoundResult
 type StreamOption = server.Option
 
 // WireTallier validates enrollment registrations and tallies fixed-size
-// steady-state round payloads directly into an aggregator — no
-// intermediate Report value — so wire ingestion performs zero allocations
-// per report. Stream resolves it from the protocol's TallyProtocol.
+// steady-state round payloads directly into an aggregator, with zero
+// allocations per report. It is the only way a report reaches an
+// aggregator; Stream resolves it from the protocol's TallyProtocol.
 type WireTallier = longitudinal.WireTallier
 
 // TallyProtocol is a Protocol whose payloads can be tallied in place.

@@ -1,12 +1,12 @@
 // Tests for the allocation-free report-generation path: every client
-// family must implement AppendReporter, emit bytes identical to the boxed
-// Report path, and — the headline guarantee mirroring the ingestion side's
-// TestIngestSteadyStateZeroAllocs — allocate nothing per report in steady
-// state, pinned with testing.AllocsPerRun.
+// family's AppendReport allocates nothing per report in steady state — the
+// headline guarantee mirroring the ingestion side's
+// TestIngestSteadyStateZeroAllocs, pinned with testing.AllocsPerRun — and
+// a cohort's Collect matches the same clients fed to the independent
+// reference server.
 package loloha_test
 
 import (
-	"bytes"
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
@@ -38,39 +38,6 @@ func reportProtocols(t testing.TB, k int) map[string]loloha.Protocol {
 	return protos
 }
 
-// TestEveryClientImplementsAppendReporter: the emission fast path is part
-// of the family contract, like WireTallier on the ingestion side.
-func TestEveryClientImplementsAppendReporter(t *testing.T) {
-	for name, proto := range reportProtocols(t, 64) {
-		if _, ok := proto.NewClient(1).(loloha.AppendReporter); !ok {
-			t.Errorf("%s client does not implement AppendReporter", name)
-		}
-	}
-}
-
-// TestAppendReportMatchesBoxedReport: for every family, same-seed clients
-// driven through Report().AppendBinary and AppendReport emit identical
-// wire bytes round for round — the interchangeability contract collection
-// layers rely on when they pick the fast path.
-func TestAppendReportMatchesBoxedReport(t *testing.T) {
-	const k, rounds = 96, 12
-	for name, proto := range reportProtocols(t, k) {
-		t.Run(name, func(t *testing.T) {
-			boxedCl := proto.NewClient(17)
-			appendCl := proto.NewClient(17).(loloha.AppendReporter)
-			var boxed, buf []byte
-			for i := 0; i < rounds; i++ {
-				v := (i * 13) % k
-				boxed = boxedCl.Report(v).AppendBinary(boxed[:0])
-				buf = appendCl.AppendReport(buf[:0], v)
-				if !bytes.Equal(boxed, buf) {
-					t.Fatalf("round %d: Report %x != AppendReport %x", i, boxed, buf)
-				}
-			}
-		})
-	}
-}
-
 // TestAppendReportSteadyStateZeroAllocs pins the acceptance criterion:
 // once a client's memoized caches are warm for its working set and the
 // caller's buffer has capacity, AppendReport performs zero allocations per
@@ -82,7 +49,7 @@ func TestAppendReportSteadyStateZeroAllocs(t *testing.T) {
 	const k, working, runs = 256, 8, 200
 	for name, proto := range reportProtocols(t, k) {
 		t.Run(name, func(t *testing.T) {
-			cl := proto.NewClient(3).(loloha.AppendReporter)
+			cl := proto.NewClient(3)
 			buf := make([]byte, 0, (k+7)/8)
 			// Warm-up: materialize the memoized state for the working set
 			// (first-sight cost, not steady state).
@@ -102,8 +69,7 @@ func TestAppendReportSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestStreamCollectUsesWireFastPath: a cohort Stream and hand-driven
-// clients over the Report/Add path must agree bit for bit, proving the
-// rerouted Collect changed the cost model, not the estimates.
+// clients fed to the independent reference server must agree bit for bit.
 func TestStreamCollectUsesWireFastPath(t *testing.T) {
 	const k, n, rounds = 32, 200, 3
 	for name, proto := range reportProtocols(t, k) {
@@ -112,13 +78,11 @@ func TestStreamCollectUsesWireFastPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The reference: the same deterministic cohort, tallied through
-			// boxed reports.
 			clients := make([]loloha.Client, n)
 			for u := range clients {
 				clients[u] = proto.NewClient(cohortSeed(5, uint64(u)))
 			}
-			agg := proto.NewAggregator()
+			ref := newReference(t, proto)
 			values := make([]int, n)
 			for round := 0; round < rounds; round++ {
 				for u := range values {
@@ -129,11 +93,9 @@ func TestStreamCollectUsesWireFastPath(t *testing.T) {
 					t.Fatal(err)
 				}
 				for u, cl := range clients {
-					agg.Add(u, cl.Report(values[u]))
+					addToReference(t, ref, cl.AppendReport(nil, values[u]), cl.WireRegistration())
 				}
-				if want := agg.EndRound(); !equalFloats(res.Raw, want) {
-					t.Fatalf("round %d: Collect estimates diverged from Report/Add path", round)
-				}
+				checkEstimates(t, name, res, endRound(ref))
 			}
 		})
 	}

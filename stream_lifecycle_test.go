@@ -30,7 +30,7 @@ func TestStreamSlowSubscriberDropPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := proto.NewClient(1)
-	if err := stream.Enroll(0, registrationFor(t, cl)); err != nil {
+	if err := stream.Enroll(0, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,7 +40,7 @@ func TestStreamSlowSubscriberDropPolicy(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		// Distinct value per round so the published estimates differ and a
 		// backfill comparison cannot pass by accident.
-		if err := stream.Ingest(0, cl.Report(round%k).AppendBinary(nil)); err != nil {
+		if err := stream.Ingest(0, cl.AppendReport(nil, round%k)); err != nil {
 			t.Fatal(err)
 		}
 		// CloseRound runs on this goroutine with the slow buffer full from
@@ -61,7 +61,7 @@ func TestStreamSlowSubscriberDropPolicy(t *testing.T) {
 	if res := <-slow; res.Round != 0 {
 		t.Fatalf("slow subscriber's first buffered round = %d, want 0", res.Round)
 	}
-	if err := stream.Ingest(0, cl.Report(3).AppendBinary(nil)); err != nil {
+	if err := stream.Ingest(0, cl.AppendReport(nil, 3)); err != nil {
 		t.Fatal(err)
 	}
 	stream.CloseRound()
@@ -107,7 +107,7 @@ func TestStreamSubscribeAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := proto.NewClient(1)
-	if err := stream.Enroll(0, registrationFor(t, cl)); err != nil {
+	if err := stream.Enroll(0, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
 	stream.Close()
@@ -115,7 +115,7 @@ func TestStreamSubscribeAfterClose(t *testing.T) {
 	if _, ok := <-stream.Subscribe(); ok {
 		t.Fatal("Subscribe after Close delivered a value")
 	}
-	if err := stream.Ingest(0, cl.Report(5).AppendBinary(nil)); err != nil {
+	if err := stream.Ingest(0, cl.AppendReport(nil, 5)); err != nil {
 		t.Fatalf("ingest after Close: %v", err)
 	}
 	if res := stream.CloseRound(); res.Reports != 1 {
@@ -152,10 +152,10 @@ func TestStreamCloseWhileBatchInFlight(t *testing.T) {
 		for i := 0; i < users/workers; i++ {
 			id := w*(users/workers) + i
 			cl := proto.NewClient(uint64(id) + 1)
-			if err := stream.Enroll(id, registrationFor(t, cl)); err != nil {
+			if err := stream.Enroll(id, cl.WireRegistration()); err != nil {
 				t.Fatal(err)
 			}
-			perWorker[w] = append(perWorker[w], user{id, cl.Report(id % k).AppendBinary(nil)})
+			perWorker[w] = append(perWorker[w], user{id, cl.AppendReport(nil, id%k)})
 		}
 	}
 
@@ -251,11 +251,11 @@ func TestStreamLifecycleRaces(t *testing.T) {
 			var payloads [][]byte
 			for id := lo; id < hi; id++ {
 				cl := proto.NewClient(uint64(id) + 1)
-				if err := stream.Enroll(id, registrationFor(t, cl)); err != nil {
+				if err := stream.Enroll(id, cl.WireRegistration()); err != nil {
 					t.Error(err)
 					return
 				}
-				payload := cl.Report(id % k).AppendBinary(nil)
+				payload := cl.AppendReport(nil, id%k)
 				if id%2 == 0 {
 					stream.Ingest(id, payload) // duplicate-vs-round races are data, not errors
 				} else {

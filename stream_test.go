@@ -6,58 +6,143 @@ package loloha_test
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
-	"github.com/loloha-ldp/loloha/internal/randsrc"
+	"github.com/loloha-ldp/loloha/internal/reference"
 )
 
-// registrationFor extracts a client's enrollment metadata the way a
-// deployment would: LOLOHA clients expose their hash seed, dBitFlipPM
-// clients their sampled buckets, UE/GRR chains need nothing.
-func registrationFor(t *testing.T, cl loloha.Client) loloha.Registration {
+// familyProto is one registered family's protocol under test.
+type familyProto struct {
+	name  string
+	proto loloha.Protocol
+}
+
+// familyProtocols builds every registered family from its specCases
+// entry, failing when a family has none — so a newly registered family
+// joins every registry-driven gate, and fails it until
+// internal/reference knows it.
+func familyProtocols(t testing.TB) []familyProto {
 	t.Helper()
-	switch c := cl.(type) {
-	case interface{ HashSeed() uint64 }:
-		return loloha.Registration{HashSeed: c.HashSeed()}
-	case interface{ Sampled() []int }:
-		return loloha.Registration{Sampled: c.Sampled()}
-	default:
-		return loloha.Registration{}
+	specs := map[string]loloha.ProtocolSpec{}
+	for _, c := range specCases() {
+		specs[c.name] = c.spec
+	}
+	var out []familyProto
+	for _, family := range loloha.Families() {
+		spec, ok := specs[family]
+		if !ok {
+			t.Fatalf("no spec for registered family %q — add one to specCases", family)
+		}
+		proto, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", family, err)
+		}
+		out = append(out, familyProto{family, proto})
+	}
+	return out
+}
+
+// newReference returns the independent reference server for proto.
+func newReference(t testing.TB, proto loloha.Protocol) *reference.Server {
+	t.Helper()
+	ref, err := reference.New(proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// refRound is one closed round of the reference server.
+type refRound struct {
+	counts []int64
+	n      int
+	est    []float64
+}
+
+// endRound closes the reference's round.
+func endRound(ref *reference.Server) refRound {
+	counts, n, est := ref.EndRound()
+	return refRound{counts, n, est}
+}
+
+// addToReference counts one client payload in the reference, failing the
+// test if the reference rejects it.
+func addToReference(t testing.TB, ref *reference.Server, payload []byte, reg loloha.Registration) {
+	t.Helper()
+	if err := ref.Add(payload, reg); err != nil {
+		t.Fatalf("reference rejected a client payload: %v", err)
 	}
 }
 
-// TestStreamParityAllPathsAllFamilies is the acceptance gate of the API
-// redesign: for every protocol family, estimates from the new Stream —
-// any shard count, per-report, batch or columnar ingest — are
-// bit-identical to direct in-memory aggregation at the same seed.
-func TestStreamParityAllPathsAllFamilies(t *testing.T) {
-	const k, n, rounds = 24, 600, 3
-	protos := map[string]func() (loloha.Protocol, error){
-		"LOLOHA":     func() (loloha.Protocol, error) { return loloha.NewBiLOLOHA(k, 2, 1) },
-		"chained-UE": func() (loloha.Protocol, error) { return loloha.NewRAPPOR(k, 2, 1) },
-		"L-GRR":      func() (loloha.Protocol, error) { return loloha.NewLGRR(k, 2, 1) },
-		"dBitFlipPM": func() (loloha.Protocol, error) { return loloha.NewDBitFlipPM(k, 8, 3, 2) },
+// closeAndCheck closes the stream's round and checks it against the
+// reference's: the merged counts and report count exactly, and the raw
+// and (without post-processing) published estimates bit for bit.
+func closeAndCheck(t testing.TB, label string, s *loloha.Stream, want refRound) {
+	t.Helper()
+	res, snap, err := s.CloseRoundExport()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mk := range protos {
-		t.Run(name, func(t *testing.T) {
-			proto, err := mk()
-			if err != nil {
-				t.Fatal(err)
+	got := snap.Shards[0].Tally
+	if got.N != want.n || res.Reports != want.n || !slices.Equal(got.Counts, want.counts) {
+		t.Fatalf("%s round %d: n=%d reports=%d counts %v, reference n=%d counts %v",
+			label, res.Round, got.N, res.Reports, got.Counts, want.n, want.counts)
+	}
+	checkEstimates(t, label, res, want)
+}
+
+// checkEstimates checks a published round's estimates bit for bit
+// against the reference's. Counts differing by one move an estimate by
+// 1/(n·(p1−q1)(p2−q2)), far more than a rounding step, so equal estimates
+// also pin equal counts on paths that close the round themselves
+// (Collect).
+func checkEstimates(t testing.TB, label string, res loloha.RoundResult, want refRound) {
+	t.Helper()
+	if res.Reports != want.n {
+		t.Fatalf("%s round %d: %d reports, reference %d", label, res.Round, res.Reports, want.n)
+	}
+	if !equalFloats(res.Raw, want.est) {
+		t.Fatalf("%s round %d: estimates %v, reference %v", label, res.Round, res.Raw, want.est)
+	}
+	if !equalFloats(res.Estimates, want.est) {
+		t.Fatalf("%s round %d: post-processed estimates differ without WithPostProcess", label, res.Round)
+	}
+}
+
+// TestStreamParityAllPathsAllFamilies is the acceptance gate of the one
+// client/aggregator contract: for every registered family, every shard
+// count in {1, 8} and every ingestion path — per-report, batch,
+// columnar and the in-process cohort — the stream's counts, report count
+// and estimates equal the independent reference server's, fed the same
+// clients' payloads.
+func TestStreamParityAllPathsAllFamilies(t *testing.T) {
+	const n, rounds, seed = 600, 3, 7
+	for _, fp := range familyProtocols(t) {
+		t.Run(fp.name, func(t *testing.T) {
+			proto, k := fp.proto, fp.proto.K()
+			ref := newReference(t, proto)
+			type pathStream struct {
+				path, label string
+				s           *loloha.Stream
 			}
-			streams := map[string]*loloha.Stream{}
+			var streams []pathStream
 			for _, shards := range []int{1, 8} {
-				for _, path := range []string{"report", "batch", "columnar"} {
-					s, err := loloha.NewStream(proto, loloha.WithShards(shards))
+				for _, path := range []string{"report", "batch", "columnar", "cohort"} {
+					opts := []loloha.StreamOption{loloha.WithShards(shards)}
+					if path == "cohort" {
+						opts = append(opts, loloha.WithCohort(n, seed))
+					}
+					s, err := loloha.NewStream(proto, opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					streams[fmt.Sprintf("shards=%d/%s", shards, path)] = s
+					streams = append(streams, pathStream{path, fmt.Sprintf("shards=%d/%s", shards, path), s})
 				}
 			}
-			direct := proto.NewAggregator()
 			stride, ok := loloha.ColumnarStrideOf(proto)
 			if !ok {
 				t.Fatal("no columnar stride")
@@ -68,25 +153,30 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 			}
 			var col loloha.ColumnarBatch
 
+			// The cohort's clients, seeded as WithCohort seeds them, so
+			// every path carries the same payloads.
 			clients := make([]loloha.Client, n)
 			for u := range clients {
-				clients[u] = proto.NewClient(uint64(u)*2654435761 + 7)
-				reg := registrationFor(t, clients[u])
-				for _, s := range streams {
-					if err := s.Enroll(u, reg); err != nil {
+				clients[u] = proto.NewClient(cohortSeed(seed, uint64(u)))
+				for _, ps := range streams {
+					if ps.path == "cohort" {
+						continue
+					}
+					if err := ps.s.Enroll(u, clients[u].WireRegistration()); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			for round := 0; round < rounds; round++ {
+				values := make([]int, n)
 				userIDs := make([]int, n)
 				payloads := make([][]byte, n)
 				w.Reset()
 				for u, cl := range clients {
-					rep := cl.Report((u + round*5) % k)
-					direct.Add(u, rep)
+					values[u] = (u + round*5) % k
 					userIDs[u] = u
-					payloads[u] = rep.AppendBinary(nil)
+					payloads[u] = cl.AppendReport(nil, values[u])
+					addToReference(t, ref, payloads[u], cl.WireRegistration())
 					if err := w.Add(u, payloads[u]); err != nil {
 						t.Fatal(err)
 					}
@@ -94,17 +184,25 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 				if err := loloha.DecodeColumnar(w.AppendTo(nil), &col); err != nil {
 					t.Fatal(err)
 				}
-				want := direct.EndRound()
-				for label, s := range streams {
-					switch label {
-					case "shards=1/batch", "shards=8/batch":
+				want := endRound(ref)
+				for _, ps := range streams {
+					s, label := ps.s, ps.label
+					switch ps.path {
+					case "batch":
 						if err := s.IngestBatch(userIDs, payloads); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-					case "shards=1/columnar", "shards=8/columnar":
+					case "columnar":
 						if err := s.IngestColumnar(&col); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
+					case "cohort":
+						res, err := s.Collect(values)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						checkEstimates(t, label, res, want)
+						continue
 					default:
 						for u := range userIDs {
 							if err := s.Ingest(u, payloads[u]); err != nil {
@@ -112,16 +210,7 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 							}
 						}
 					}
-					res := s.CloseRound()
-					if res.Round != round || res.Reports != n {
-						t.Fatalf("%s round %d: got round=%d reports=%d", label, round, res.Round, res.Reports)
-					}
-					if !equalFloats(res.Raw, want) {
-						t.Fatalf("%s round %d: estimates diverged from direct aggregation", label, round)
-					}
-					if !equalFloats(res.Estimates, want) {
-						t.Fatalf("%s round %d: post-processed estimates differ without WithPostProcess", label, round)
-					}
+					closeAndCheck(t, label, s, want)
 				}
 			}
 		})
@@ -142,26 +231,15 @@ func equalFloats(a, b []float64) bool {
 
 // TestStreamCohortMatchesLegacyCohort: for every registered family and
 // shard counts 1, 3 and 8, a Stream built with WithCohort matches the
-// serial boxed reference — the same deterministically seeded clients,
-// each round's Client.Report added one by one to a plain Aggregator — in
-// estimates, report count and every user's privacy ledger.
+// same deterministically seeded clients driven one by one into the
+// independent reference server — in estimates, report count and every
+// user's privacy ledger.
 func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 	const n, rounds, seed = 300, 3, 9
-	specs := map[string]loloha.ProtocolSpec{}
-	for _, c := range specCases() {
-		specs[c.name] = c.spec
-	}
-	for _, family := range loloha.Families() {
-		spec, ok := specs[family]
-		if !ok {
-			t.Fatalf("no spec for registered family %q — add one to specCases", family)
-		}
+	for _, fp := range familyProtocols(t) {
 		for _, shards := range []int{1, 3, 8} {
-			t.Run(fmt.Sprintf("%s/shards=%d", family, shards), func(t *testing.T) {
-				proto, err := spec.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
+			t.Run(fmt.Sprintf("%s/shards=%d", fp.name, shards), func(t *testing.T) {
+				proto := fp.proto
 				stream, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(shards))
 				if err != nil {
 					t.Fatal(err)
@@ -172,27 +250,24 @@ func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 				}
 				legacy := make([]loloha.Client, n)
 				for u := range legacy {
-					legacy[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
+					legacy[u] = proto.NewClient(cohortSeed(seed, uint64(u)))
 				}
-				ref := proto.NewAggregator()
+				ref := newReference(t, proto)
 				values := make([]int, n)
+				var buf []byte
 				for round := 0; round < rounds; round++ {
 					for u := range values {
 						values[u] = (u*3 + round*11) % proto.K()
 					}
 					for u, cl := range legacy {
-						ref.Add(u, cl.Report(values[u]))
+						buf = cl.AppendReport(buf[:0], values[u])
+						addToReference(t, ref, buf, cl.WireRegistration())
 					}
 					res, err := stream.Collect(values)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !equalFloats(res.Raw, ref.EndRound()) {
-						t.Fatalf("round %d: Stream cohort diverged from the serial boxed reference", round)
-					}
-					if res.Reports != n {
-						t.Fatalf("round %d: reports=%d, want %d", round, res.Reports, n)
-					}
+					checkEstimates(t, "cohort", res, endRound(ref))
 				}
 				spent := stream.PrivacySpent()
 				for u, cl := range legacy {
@@ -276,8 +351,8 @@ func TestCollectConcurrentWithWireIngest(t *testing.T) {
 	payloads := make([][]byte, wire)
 	for i := range regs {
 		cl := proto.NewClient(uint64(i) + 1000)
-		regs[i] = registrationFor(t, cl)
-		payloads[i] = cl.Report(i % k).AppendBinary(nil)
+		regs[i] = cl.WireRegistration()
+		payloads[i] = cl.AppendReport(nil, i%k)
 	}
 
 	var wg sync.WaitGroup
@@ -342,10 +417,10 @@ func TestStreamMixesWireAndCohortReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := proto.NewClient(999)
-	if err := stream.Enroll(10_000, registrationFor(t, wire)); err != nil {
+	if err := stream.Enroll(10_000, wire.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Ingest(10_000, wire.Report(2).AppendBinary(nil)); err != nil {
+	if err := stream.Ingest(10_000, wire.AppendReport(nil, 2)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := stream.Collect(make([]int, n))
@@ -356,13 +431,13 @@ func TestStreamMixesWireAndCohortReports(t *testing.T) {
 		t.Fatalf("reports=%d, want %d cohort + 1 wire", res.Reports, n+1)
 	}
 	// Cohort-owned IDs are rejected on every wire entry point.
-	if err := stream.Enroll(n-1, registrationFor(t, wire)); err == nil {
+	if err := stream.Enroll(n-1, wire.WireRegistration()); err == nil {
 		t.Fatal("wire enrollment under a cohort client ID accepted")
 	}
-	if err := stream.Ingest(n-1, wire.Report(1).AppendBinary(nil)); err == nil {
+	if err := stream.Ingest(n-1, wire.AppendReport(nil, 1)); err == nil {
 		t.Fatal("wire report under a cohort client ID accepted")
 	}
-	if err := stream.IngestBatch([]int{0}, [][]byte{wire.Report(1).AppendBinary(nil)}); err == nil {
+	if err := stream.IngestBatch([]int{0}, [][]byte{wire.AppendReport(nil, 1)}); err == nil {
 		t.Fatal("batched wire report under a cohort client ID accepted")
 	}
 }
@@ -471,10 +546,10 @@ func TestStreamBatchErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := proto.NewClient(1)
-	if err := stream.Enroll(0, registrationFor(t, good)); err != nil {
+	if err := stream.Enroll(0, good.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
-	payload := good.Report(3).AppendBinary(nil)
+	payload := good.AppendReport(nil, 3)
 	err = stream.IngestBatch(
 		[]int{0, 99, 0, 0},
 		[][]byte{payload, payload, {}, payload},
@@ -542,7 +617,7 @@ func TestStreamConcurrentEnrollIngestSubscribe(t *testing.T) {
 	regs := make([]loloha.Registration, n)
 	for u := range clients {
 		clients[u] = proto.NewClient(uint64(u) + 1)
-		regs[u] = registrationFor(t, clients[u])
+		regs[u] = clients[u].WireRegistration()
 	}
 
 	sub := stream.Subscribe()
@@ -570,7 +645,7 @@ func TestStreamConcurrentEnrollIngestSubscribe(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					payload := clients[u].Report(u % k).AppendBinary(nil)
+					payload := clients[u].AppendReport(nil, u%k)
 					if u%2 == 0 {
 						if err := stream.Ingest(u, payload); err != nil {
 							t.Error(err)

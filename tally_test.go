@@ -1,7 +1,7 @@
-// Tests for tally-direct ingestion: the WireTallier path must be
-// bit-identical to the boxed Client.Report + Aggregator.Add reference for
-// every protocol family and shard count, and the steady-state wire hot
-// path must not allocate — testing.AllocsPerRun pins Ingest at 0 allocs/report and
+// Tests for tally-direct ingestion: the WireTallier path must match the
+// independent reference server (internal/reference) for every registered
+// family and shard count, and the steady-state wire hot path must not
+// allocate — testing.AllocsPerRun pins Ingest at 0 allocs/report and
 // IngestBatch at 0 allocs/batch so regressions fail loudly instead of
 // showing up as GC pressure under production load.
 package loloha_test
@@ -34,25 +34,25 @@ func tallyProtocols(t testing.TB, k int) map[string]loloha.Protocol {
 	return protos
 }
 
-// TestTallyDirectMatchesDecoderPath is the acceptance gate of tally-direct
-// ingestion: for every protocol family × shard count, a stream fed the
-// wire payloads produces estimates bit-identical to the boxed reference —
-// the same clients' Report values added one by one to a plain aggregator —
-// through both per-report and batch ingestion.
+// TestTallyDirectMatchesDecoderPath: for every registered family × shard
+// count, a stream fed the wire payloads matches the independent reference
+// server fed the same payloads — counts and n exactly, estimates bit for
+// bit — through both per-report and batch ingestion.
 func TestTallyDirectMatchesDecoderPath(t *testing.T) {
-	const k, n, rounds = 24, 400, 3
-	for name, proto := range tallyProtocols(t, k) {
+	const n, rounds = 400, 3
+	for _, fp := range familyProtocols(t) {
 		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/shards=%d", fp.name, shards), func(t *testing.T) {
+				proto, k := fp.proto, fp.proto.K()
 				stream, err := loloha.NewStream(proto, loloha.WithShards(shards))
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := proto.NewAggregator()
+				ref := newReference(t, proto)
 				clients := make([]loloha.Client, n)
 				for u := range clients {
 					clients[u] = proto.NewClient(uint64(u)*0x9E3779B9 + 1)
-					if err := stream.Enroll(u, registrationFor(t, clients[u])); err != nil {
+					if err := stream.Enroll(u, clients[u].WireRegistration()); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -60,10 +60,9 @@ func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 					userIDs := make([]int, n)
 					payloads := make([][]byte, n)
 					for u, cl := range clients {
-						rep := cl.Report((u + round*7) % k)
-						ref.Add(u, rep)
 						userIDs[u] = u
-						payloads[u] = rep.AppendBinary(nil)
+						payloads[u] = cl.AppendReport(nil, (u+round*7)%k)
+						addToReference(t, ref, payloads[u], cl.WireRegistration())
 					}
 					// Odd rounds batch, even rounds go report by report, so
 					// both entry points are exercised.
@@ -78,37 +77,33 @@ func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 							}
 						}
 					}
-					got, want := stream.CloseRound(), ref.EndRound()
-					if got.Reports != n {
-						t.Fatalf("round %d: reports %d, want %d", round, got.Reports, n)
-					}
-					if !equalFloats(got.Raw, want) {
-						t.Fatalf("round %d: tally-direct estimates diverged from the boxed reference", round)
-					}
+					closeAndCheck(t, fp.name, stream, endRound(ref))
 				}
 			})
 		}
 	}
 }
 
-// TestTallyDirectRejectsWhatDecoderRejects: malformed payloads — empty,
-// truncated, trailing bytes — are rejected, a rejected payload tallies
-// nothing, and the user's honest report still lands afterwards with
-// estimates bit-identical to the boxed reference of that one report.
+// TestTallyDirectRejectsWhatDecoderRejects: for every registered family,
+// malformed payloads — empty, truncated, trailing bytes — are rejected by
+// the stream and by the reference alike, a rejected payload tallies
+// nothing, and the user's honest report still lands afterwards, matching
+// the reference of that one report.
 func TestTallyDirectRejectsWhatDecoderRejects(t *testing.T) {
-	const k = 24
-	for name, proto := range tallyProtocols(t, k) {
-		t.Run(name, func(t *testing.T) {
+	for _, fp := range familyProtocols(t) {
+		t.Run(fp.name, func(t *testing.T) {
+			proto := fp.proto
 			stream, err := loloha.NewStream(proto, loloha.WithShards(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cl := proto.NewClient(7)
-			if err := stream.Enroll(0, registrationFor(t, cl)); err != nil {
+			reg := cl.WireRegistration()
+			if err := stream.Enroll(0, reg); err != nil {
 				t.Fatal(err)
 			}
-			rep := cl.Report(3)
-			good := rep.AppendBinary(nil)
+			ref := newReference(t, proto)
+			good := cl.AppendReport(nil, 3)
 			for label, payload := range map[string][]byte{
 				"empty":     {},
 				"truncated": good[:len(good)-1],
@@ -117,16 +112,15 @@ func TestTallyDirectRejectsWhatDecoderRejects(t *testing.T) {
 				if err := stream.Ingest(0, payload); err == nil {
 					t.Fatalf("%s payload accepted", label)
 				}
+				if err := ref.Add(payload, reg); err == nil {
+					t.Fatalf("%s payload accepted by the reference", label)
+				}
 			}
 			if err := stream.Ingest(0, good); err != nil {
 				t.Fatalf("honest payload after rejections: %v", err)
 			}
-			ref := proto.NewAggregator()
-			ref.Add(0, rep)
-			got := stream.CloseRound()
-			if got.Reports != 1 || !equalFloats(got.Raw, ref.EndRound()) {
-				t.Fatalf("rejected payloads leaked into the tally: %d reports", got.Reports)
-			}
+			addToReference(t, ref, good, reg)
+			closeAndCheck(t, fp.name, stream, endRound(ref))
 		})
 	}
 }
@@ -148,10 +142,10 @@ func TestIngestSteadyStateZeroAllocs(t *testing.T) {
 			payloads := make([][]byte, n)
 			for u := 0; u < n; u++ {
 				cl := proto.NewClient(uint64(u) + 3)
-				if err := stream.Enroll(u, registrationFor(t, cl)); err != nil {
+				if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
 					t.Fatal(err)
 				}
-				payloads[u] = cl.Report(u % k).AppendBinary(nil)
+				payloads[u] = cl.AppendReport(nil, u%k)
 			}
 			// Warm-up round: first-sight work (the LOLOHA per-user hash
 			// table) is enrollment-time cost, not steady state.
@@ -194,11 +188,11 @@ func TestIngestBatchScratchReuse(t *testing.T) {
 			payloads[b] = make([][]byte, batchSize)
 			for i := 0; i < batchSize; i++ {
 				cl := proto.NewClient(uint64(u)*31 + 5)
-				if err := s.Enroll(u, registrationFor(t, cl)); err != nil {
+				if err := s.Enroll(u, cl.WireRegistration()); err != nil {
 					t.Fatal(err)
 				}
 				ids[b][i] = u
-				payloads[b][i] = cl.Report(u % k).AppendBinary(nil)
+				payloads[b][i] = cl.AppendReport(nil, u%k)
 				u++
 			}
 		}
